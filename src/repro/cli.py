@@ -97,6 +97,30 @@ def _add_jobs(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_archive(parser: argparse.ArgumentParser, what: str = "sweep") -> None:
+    """``--out`` (archive the result) and ``--fingerprint``."""
+    parser.add_argument("--out", help=f"archive the {what} result to this JSON file")
+    parser.add_argument(
+        "--fingerprint", action="store_true",
+        help="print a SHA-256 fingerprint of the result (determinism checks)",
+    )
+
+
+def _add_traced_workload(parser: argparse.ArgumentParser) -> None:
+    """The small clustered workload ``observe`` and ``flight record`` run."""
+    parser.add_argument("--documents", type=int, default=300)
+    parser.add_argument("--caches", type=int, default=8)
+    parser.add_argument("--rings", type=int, default=4)
+    parser.add_argument("--request-rate", type=float, default=60.0,
+                        help="requests per minute per cache")
+    parser.add_argument("--update-rate", type=float, default=30.0,
+                        help="updates per minute")
+    parser.add_argument("--alpha", type=float, default=0.9, help="Zipf parameter")
+    parser.add_argument("--duration", type=float, default=20.0, help="minutes")
+    parser.add_argument("--cycle", type=float, default=10.0)
+    parser.add_argument("--seed", type=int, default=0)
+
+
 def _jobs_kwargs(func, args) -> dict:
     """``{"jobs": N}`` when ``func`` accepts a job count, else ``{}``.
 
@@ -175,17 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run a small traced workload on a clustered topology and "
         "report span trees plus per-category latency histograms",
     )
-    obs.add_argument("--documents", type=int, default=300)
-    obs.add_argument("--caches", type=int, default=8)
-    obs.add_argument("--rings", type=int, default=4)
-    obs.add_argument("--request-rate", type=float, default=60.0,
-                     help="requests per minute per cache")
-    obs.add_argument("--update-rate", type=float, default=30.0,
-                     help="updates per minute")
-    obs.add_argument("--alpha", type=float, default=0.9, help="Zipf parameter")
-    obs.add_argument("--duration", type=float, default=20.0, help="minutes")
-    obs.add_argument("--cycle", type=float, default=10.0)
-    obs.add_argument("--seed", type=int, default=0)
+    _add_traced_workload(obs)
     obs.add_argument(
         "--span-limit", type=int, default=10_000,
         help="maximum spans retained by the recorder",
@@ -214,11 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--seed", type=int, default=None,
         help="override the scale's seed (re-derives workload/fault/churn streams)",
     )
-    res.add_argument("--out", help="archive the sweep result to this JSON file")
-    res.add_argument(
-        "--fingerprint", action="store_true",
-        help="print a SHA-256 fingerprint of the result (determinism checks)",
-    )
+    _add_archive(res)
     res.add_argument(
         "--telemetry", metavar="FILE", default=None,
         help="additionally re-run the harshest (loss, churn) sweep point "
@@ -241,11 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--seed", type=int, default=None,
         help="override the scale's seed (re-derives the flash-crowd workload)",
     )
-    ovl.add_argument("--out", help="archive the sweep result to this JSON file")
-    ovl.add_argument(
-        "--fingerprint", action="store_true",
-        help="print a SHA-256 fingerprint of the result (determinism checks)",
-    )
+    _add_archive(ovl)
 
     ela = subparsers.add_parser(
         "elastic",
@@ -258,11 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--seed", type=int, default=None,
         help="override the scale's seed (re-derives the diurnal workload)",
     )
-    ela.add_argument("--out", help="archive the sweep result to this JSON file")
-    ela.add_argument(
-        "--fingerprint", action="store_true",
-        help="print a SHA-256 fingerprint of the result (determinism checks)",
-    )
+    _add_archive(ela)
 
     zoo = subparsers.add_parser(
         "zoo",
@@ -295,11 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="build the full trace in memory instead of streaming it "
         "(value-identical; only useful for memory comparisons)",
     )
-    zoo.add_argument("--out", help="archive the sweep result to this JSON file")
-    zoo.add_argument(
-        "--fingerprint", action="store_true",
-        help="print a SHA-256 fingerprint of the result (determinism checks)",
-    )
+    _add_archive(zoo)
     zoo.add_argument(
         "--flight-dir",
         help="stream one windowed flight artifact per arm to "
@@ -318,17 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
         "stream the windowed JSONL artifact",
     )
     rec.add_argument("--out", required=True, help="flight artifact (JSONL) path")
-    rec.add_argument("--documents", type=int, default=300)
-    rec.add_argument("--caches", type=int, default=8)
-    rec.add_argument("--rings", type=int, default=4)
-    rec.add_argument("--request-rate", type=float, default=60.0,
-                     help="requests per minute per cache")
-    rec.add_argument("--update-rate", type=float, default=30.0,
-                     help="updates per minute")
-    rec.add_argument("--alpha", type=float, default=0.9, help="Zipf parameter")
-    rec.add_argument("--duration", type=float, default=20.0, help="minutes")
-    rec.add_argument("--cycle", type=float, default=10.0)
-    rec.add_argument("--seed", type=int, default=0)
+    _add_traced_workload(rec)
     rec.add_argument("--window", type=float, default=1.0,
                      help="flight window width in simulated minutes")
     rec.add_argument("--top-docs", type=int, default=5,
@@ -383,11 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the grid without background repair (divergence baseline; "
         "unrepaired violations are reported, not failed on)",
     )
-    aud.add_argument("--out", help="archive the grid result to this JSON file")
-    aud.add_argument(
-        "--fingerprint", action="store_true",
-        help="print a SHA-256 fingerprint of the result (determinism checks)",
-    )
+    _add_archive(aud, "grid")
 
     compare = subparsers.add_parser(
         "compare", help="diff two archived experiment results (JSON)"
@@ -402,15 +386,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_figure(args) -> int:
-    scale = _SCALES[args.scale]
-    func = _FIGURES[args.number]
-    result = func(scale, **_jobs_kwargs(func, args))
-    if isinstance(result, tuple):
-        for part in result:
-            print(part.render())
-    else:
-        print(result.render())
+def _run_named(func, args) -> int:
+    """Run one figure/ablation/extension entry point and print its table(s)."""
+    result = func(_SCALES[args.scale], **_jobs_kwargs(func, args))
+    for part in result if isinstance(result, tuple) else (result,):
+        print(part.render())
     return 0
 
 
@@ -427,20 +407,10 @@ def _cmd_figures(args) -> int:
     return 0
 
 
-def _cmd_ablation(args) -> int:
-    func = _ABLATIONS[args.name]
-    print(func(_SCALES[args.scale], **_jobs_kwargs(func, args)).render())
-    return 0
-
-
-def _cmd_extension(args) -> int:
-    func = _EXTENSIONS[args.name]
-    print(func(_SCALES[args.scale], **_jobs_kwargs(func, args)).render())
-    return 0
-
-
-def _cmd_trace(args) -> int:
-    generator = SyntheticTraceGenerator(
+def _generator(args) -> SyntheticTraceGenerator:
+    """The synthetic workload the ``trace``/``run``/``observe``/``flight
+    record`` flags describe."""
+    return SyntheticTraceGenerator(
         WorkloadConfig(
             num_documents=args.documents,
             num_caches=args.caches,
@@ -451,6 +421,57 @@ def _cmd_trace(args) -> int:
             seed=args.seed,
         )
     )
+
+
+def _traced_run(args, **observers):
+    """Run the ``observe``/``flight record`` workload with ``observers``.
+
+    A clustered topology with a far-away origin gives the latency columns
+    real shape: peer transfers are cheap, origin fetches are not, and the
+    span trees show exactly where each request paid.
+    """
+    import random
+
+    from repro.core.cloud import CacheCloud
+    from repro.network.origin import ORIGIN_NODE_ID, OriginServer
+    from repro.network.topology import EuclideanTopology
+    from repro.network.transport import Transport
+
+    corpus = build_corpus(args.documents)
+    generator = _generator(args)
+    config = CloudConfig(
+        num_caches=args.caches,
+        num_rings=args.rings,
+        cycle_length=args.cycle,
+        seed=args.seed,
+    )
+    topology = EuclideanTopology.random(
+        args.caches,
+        random.Random(args.seed),
+        extent=100.0,
+        num_clusters=2,
+        cluster_spread=25.0,
+    )
+    topology.add_node(ORIGIN_NODE_ID, (2_000.0, 2_000.0))
+    cloud = CacheCloud(
+        config,
+        corpus,
+        origin=OriginServer(corpus),
+        transport=Transport(topology=topology),
+    )
+    run_experiment(
+        config,
+        corpus,
+        generator.requests(),
+        generator.updates(),
+        duration=args.duration,
+        cloud=cloud,
+        **observers,
+    )
+
+
+def _cmd_trace(args) -> int:
+    generator = _generator(args)
     count = write_trace(generator.build_trace(), args.out)
     print(f"wrote {count} records to {args.out}")
     return 0
@@ -458,17 +479,7 @@ def _cmd_trace(args) -> int:
 
 def _cmd_run(args) -> int:
     corpus = build_corpus(args.documents)
-    generator = SyntheticTraceGenerator(
-        WorkloadConfig(
-            num_documents=args.documents,
-            num_caches=args.caches,
-            request_rate_per_cache=args.request_rate,
-            update_rate=args.update_rate,
-            alpha_requests=args.alpha,
-            duration_minutes=args.duration,
-            seed=args.seed,
-        )
-    )
+    generator = _generator(args)
     config = CloudConfig(
         num_caches=args.caches,
         num_rings=args.rings,
@@ -508,12 +519,6 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_observe(args) -> int:
-    import random
-
-    from repro.network.origin import ORIGIN_NODE_ID, OriginServer
-    from repro.network.topology import EuclideanTopology
-    from repro.network.transport import Transport
-    from repro.core.cloud import CacheCloud
     from repro.observe import (
         Telemetry,
         dump_json,
@@ -524,51 +529,8 @@ def _cmd_observe(args) -> int:
         write_json,
     )
 
-    corpus = build_corpus(args.documents)
-    generator = SyntheticTraceGenerator(
-        WorkloadConfig(
-            num_documents=args.documents,
-            num_caches=args.caches,
-            request_rate_per_cache=args.request_rate,
-            update_rate=args.update_rate,
-            alpha_requests=args.alpha,
-            duration_minutes=args.duration,
-            seed=args.seed,
-        )
-    )
-    config = CloudConfig(
-        num_caches=args.caches,
-        num_rings=args.rings,
-        cycle_length=args.cycle,
-        seed=args.seed,
-    )
-    # A clustered topology with a far-away origin gives the latency
-    # histograms real shape: peer transfers are cheap, origin fetches are
-    # not, and the span trees show exactly where each request paid.
-    topology = EuclideanTopology.random(
-        args.caches,
-        random.Random(args.seed),
-        extent=100.0,
-        num_clusters=2,
-        cluster_spread=25.0,
-    )
-    topology.add_node(ORIGIN_NODE_ID, (2_000.0, 2_000.0))
-    cloud = CacheCloud(
-        config,
-        corpus,
-        origin=OriginServer(corpus),
-        transport=Transport(topology=topology),
-    )
     telemetry = Telemetry(max_spans=args.span_limit)
-    run_experiment(
-        config,
-        corpus,
-        generator.requests(),
-        generator.updates(),
-        duration=args.duration,
-        cloud=cloud,
-        telemetry=telemetry,
-    )
+    _traced_run(args, telemetry=telemetry)
     if args.json:
         print(dump_json(telemetry))
     else:
@@ -586,8 +548,19 @@ def _cmd_observe(args) -> int:
     return 0
 
 
-def _cmd_resilience(args) -> int:
+def _report(result, args, kind: str) -> None:
+    """Print a sweep's table; archive and fingerprint it when asked."""
     from repro.experiments.reporting import fingerprint, save_result
+
+    print(result.render())
+    if args.out:
+        save_result(result, args.out, kind)
+        print(f"archived to {args.out}")
+    if args.fingerprint:
+        print(f"fingerprint: {fingerprint(result)}")
+
+
+def _cmd_resilience(args) -> int:
     from repro.experiments.resilience import resilience_sweep
 
     result = resilience_sweep(
@@ -597,12 +570,7 @@ def _cmd_resilience(args) -> int:
         jobs=args.jobs,
         seed=args.seed,
     )
-    print(result.render())
-    if args.out:
-        save_result(result, args.out, "resilience")
-        print(f"archived to {args.out}")
-    if args.fingerprint:
-        print(f"fingerprint: {fingerprint(result)}")
+    _report(result, args, "resilience")
     if args.telemetry:
         from repro.experiments.resilience import instrumented_point
         from repro.observe import write_json
@@ -625,7 +593,6 @@ def _cmd_resilience(args) -> int:
 
 def _cmd_overload(args) -> int:
     from repro.experiments.overload import overload_sweep
-    from repro.experiments.reporting import fingerprint, save_result
 
     result = overload_sweep(
         _SCALES[args.scale],
@@ -633,28 +600,17 @@ def _cmd_overload(args) -> int:
         jobs=args.jobs,
         seed=args.seed,
     )
-    print(result.render())
-    if args.out:
-        save_result(result, args.out, "overload")
-        print(f"archived to {args.out}")
-    if args.fingerprint:
-        print(f"fingerprint: {fingerprint(result)}")
+    _report(result, args, "overload")
     return 1 if result.failures else 0
 
 
 def _cmd_elastic(args) -> int:
     from repro.experiments.elastic import elastic_sweep
-    from repro.experiments.reporting import fingerprint, save_result
 
     result = elastic_sweep(
         _SCALES[args.scale], jobs=args.jobs, seed=args.seed
     )
-    print(result.render())
-    if args.out:
-        save_result(result, args.out, "elastic")
-        print(f"archived to {args.out}")
-    if args.fingerprint:
-        print(f"fingerprint: {fingerprint(result)}")
+    _report(result, args, "elastic")
     if result.failures:
         return 1
     # The sweep exists to demonstrate the acceptance claims; an arm that
@@ -666,7 +622,6 @@ def _cmd_elastic(args) -> int:
 
 
 def _cmd_zoo(args) -> int:
-    from repro.experiments.reporting import fingerprint, save_result
     from repro.experiments.zoo import DEFAULT_SCHEMES, zoo_sweep
 
     result = zoo_sweep(
@@ -678,74 +633,21 @@ def _cmd_zoo(args) -> int:
         checkpoint=args.checkpoint,
         flight_dir=args.flight_dir,
     )
-    print(result.render())
-    if args.out:
-        save_result(result, args.out, "zoo")
-        print(f"archived to {args.out}")
-    if args.fingerprint:
-        print(f"fingerprint: {fingerprint(result)}")
+    _report(result, args, "zoo")
     return 1 if result.failures else 0
 
 
 def _cmd_flight_record(args) -> int:
-    import random
-
-    from repro.core.cloud import CacheCloud
-    from repro.network.origin import ORIGIN_NODE_ID, OriginServer
-    from repro.network.topology import EuclideanTopology
-    from repro.network.transport import Transport
     from repro.observe.flight import (
         FlightRecorder,
         read_flight,
         render_flight_report,
     )
 
-    corpus = build_corpus(args.documents)
-    generator = SyntheticTraceGenerator(
-        WorkloadConfig(
-            num_documents=args.documents,
-            num_caches=args.caches,
-            request_rate_per_cache=args.request_rate,
-            update_rate=args.update_rate,
-            alpha_requests=args.alpha,
-            duration_minutes=args.duration,
-            seed=args.seed,
-        )
-    )
-    config = CloudConfig(
-        num_caches=args.caches,
-        num_rings=args.rings,
-        cycle_length=args.cycle,
-        seed=args.seed,
-    )
-    # Same latency shape as `observe`: clustered caches with a far-away
-    # origin, so the per-category latency columns carry real signal.
-    topology = EuclideanTopology.random(
-        args.caches,
-        random.Random(args.seed),
-        extent=100.0,
-        num_clusters=2,
-        cluster_spread=25.0,
-    )
-    topology.add_node(ORIGIN_NODE_ID, (2_000.0, 2_000.0))
-    cloud = CacheCloud(
-        config,
-        corpus,
-        origin=OriginServer(corpus),
-        transport=Transport(topology=topology),
-    )
     recorder = FlightRecorder(
         args.out, window=args.window, top_docs=args.top_docs
     )
-    run_experiment(
-        config,
-        corpus,
-        generator.requests(),
-        generator.updates(),
-        duration=args.duration,
-        cloud=cloud,
-        flight=recorder,
-    )
+    _traced_run(args, flight=recorder)
     log = read_flight(args.out)
     print(
         f"flight artifact -> {args.out} "
@@ -787,7 +689,6 @@ def _cmd_flight(args) -> int:
 
 def _cmd_audit(args) -> int:
     from repro.audit.chaos import chaos_audit_grid
-    from repro.experiments.reporting import fingerprint, save_result
 
     result = chaos_audit_grid(
         seeds=tuple(args.seeds),
@@ -797,12 +698,7 @@ def _cmd_audit(args) -> int:
         jobs=args.jobs,
         scenario_overrides={"duration_minutes": args.duration},
     )
-    print(result.render())
-    if args.out:
-        save_result(result, args.out, "chaos-audit")
-        print(f"archived to {args.out}")
-    if args.fingerprint:
-        print(f"fingerprint: {fingerprint(result)}")
+    _report(result, args, "chaos-audit")
     if result.failures or result.total_hard_violations:
         return 1
     # With repair enabled the bar is absolute: everything must converge.
@@ -827,10 +723,10 @@ def _cmd_compare(args) -> int:
 
 
 _HANDLERS = {
-    "figure": _cmd_figure,
+    "figure": lambda args: _run_named(_FIGURES[args.number], args),
     "figures": _cmd_figures,
-    "ablation": _cmd_ablation,
-    "extension": _cmd_extension,
+    "ablation": lambda args: _run_named(_ABLATIONS[args.name], args),
+    "extension": lambda args: _run_named(_EXTENSIONS[args.name], args),
     "trace": _cmd_trace,
     "run": _cmd_run,
     "observe": _cmd_observe,

@@ -31,7 +31,7 @@ Set ``cooperation=False`` in the config for the isolated-caches baseline
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Set
+from typing import TYPE_CHECKING, Dict, List, Optional, Set, cast
 
 from repro.core.beacon import BeaconState
 from repro.core.config import AssignmentScheme, CloudConfig
@@ -51,6 +51,7 @@ from repro.core.node import (
     RequestOutcome,
     RequestResult,
 )
+from repro.core.observer import ProtocolObserver
 from repro.core.overload import OverloadConfig, OverloadController
 from repro.core.placement import make_placement
 from repro.core.protocol import DirectoryTransfer, ProtocolTrace, RangeAnnouncement
@@ -119,6 +120,11 @@ class CacheCloud:
         self.trace = ProtocolTrace(enabled=capture_protocol)
         #: The single dispatch seam every protocol message crosses.
         self.fabric = MessageFabric(self.transport, self.trace)
+        #: Mirror of the fabric's single observer reference
+        #: (``repro.core.observer``): the roles emit protocol events to it.
+        #: ``None`` keeps every protocol hot path on one attribute check.
+        self.observer: Optional[ProtocolObserver] = None
+        self.fabric.observer_listener = self._set_observer
 
         self.caches: List[EdgeCache] = [
             EdgeCache(
@@ -205,21 +211,6 @@ class CacheCloud:
         self.eviction_notices_lost = 0
         self.requests_redirected = 0
 
-        #: Optional observability registry (``repro.observe``). ``None``
-        #: keeps every protocol hot path on a single attribute check; the
-        #: roles read this reference, never import the package.
-        self.telemetry: Optional["Telemetry"] = None
-
-        #: Optional per-phase work profile (``repro.observe.profile``).
-        #: ``None`` keeps the role seams on a single attribute check, the
-        #: same contract as ``telemetry``.
-        self.profile: Optional["WorkProfile"] = None
-
-        #: Optional streaming flight recorder (``repro.observe.flight``).
-        #: ``None`` keeps the request/update entry points and the fabric
-        #: fast path exactly as they were before the recorder existed.
-        self.flight: Optional["FlightRecorder"] = None
-
         #: Optional per-node service model (``repro.core.overload``).
         #: ``None`` keeps the fabric fast path enabled and every protocol
         #: hot path on a single attribute check.
@@ -284,74 +275,75 @@ class CacheCloud:
         return self.fabric.faults
 
     # ------------------------------------------------------------------
-    # Telemetry (delegates to the fabric for the dispatch-point hook)
+    # Observers (repro.observe): subscribers of the fabric's observer seam
     # ------------------------------------------------------------------
-    def attach_telemetry(self, telemetry: "Telemetry") -> None:
-        """Route request/update spans and fabric histograms into ``telemetry``.
+    def _set_observer(self, observer: Optional[ProtocolObserver]) -> None:
+        self.observer = observer
 
-        Mirrors :meth:`attach_faults`: attaching changes what is *recorded*,
-        never what the protocols do — same RNG draws, same dispatches, same
-        meter totals (tested in ``tests/test_core_fabric.py``).
-        """
-        self.telemetry = telemetry
-        self.fabric.telemetry = telemetry
+    def attach_telemetry(self, telemetry: "Telemetry") -> None:
+        """Route request/update spans and fabric histograms into
+        ``telemetry``. Like every subscriber it changes what is *recorded*,
+        never what the protocols do (``tests/test_core_fabric.py``)."""
+        self.fabric.subscribe("telemetry", telemetry)
 
     def detach_telemetry(self) -> Optional["Telemetry"]:
         """Stop recording; returns the detached registry with its data."""
-        telemetry = self.telemetry
-        self.telemetry = None
-        self.fabric.telemetry = None
-        return telemetry
+        return cast(Optional["Telemetry"], self.fabric.unsubscribe("telemetry"))
 
-    # ------------------------------------------------------------------
-    # Work profiling and the flight recorder (repro.observe)
-    # ------------------------------------------------------------------
     def attach_profile(self, profile: "WorkProfile") -> "WorkProfile":
-        """Charge per-role, per-phase work counters into ``profile``.
-
-        Same contract as :meth:`attach_telemetry`: the role seams read
-        ``self.profile`` through one ``is not None`` check, charging draws
-        no randomness and dispatches nothing, so protocol behavior is
-        identical with and without a profile attached.
-        """
-        self.profile = profile
+        """Charge per-role, per-phase work counters into ``profile``."""
+        self.fabric.subscribe("profile", profile)
         return profile
 
     def detach_profile(self) -> Optional["WorkProfile"]:
         """Stop charging; returns the detached profile with its counters."""
-        profile = self.profile
-        self.profile = None
-        return profile
+        return cast(Optional["WorkProfile"], self.fabric.unsubscribe("profile"))
 
     def attach_flight(self, recorder: "FlightRecorder") -> "FlightRecorder":
         """Stream windowed statistics from this cloud into ``recorder``.
 
-        Binds the recorder (which writes the artifact header), hooks the
-        fabric so every wire attempt lands in the open window, and — when
-        no profile is attached yet — installs the recorder's own
-        :class:`~repro.observe.profile.WorkProfile` so per-phase cost
-        deltas appear in the same windows. Call
+        Binds the recorder (which writes the artifact header) and
+        subscribes it together with its own
+        :class:`~repro.observe.profile.WorkProfile`, so per-phase cost
+        deltas appear in the same windows whether or not another profile
+        is attached. Call
         :meth:`~repro.observe.flight.FlightRecorder.finish` after the run
         to flush the final window and the summary record.
         """
         recorder.bind(self)
-        self.flight = recorder
-        self.fabric.flight = recorder
-        if self.profile is None:
-            self.profile = recorder.profile
+        self.fabric.subscribe("flight", recorder)
+        self.fabric.subscribe("flight.profile", recorder.profile)
         return recorder
 
     def detach_flight(self) -> Optional["FlightRecorder"]:
         """Stop recording; returns the recorder (file stays open until
         its ``finish`` is called)."""
-        recorder = self.flight
-        self.flight = None
-        self.fabric.flight = None
+        recorder = cast(
+            Optional["FlightRecorder"], self.fabric.unsubscribe("flight")
+        )
+        self.fabric.unsubscribe("flight.profile")
         if recorder is not None:
             recorder.unbind()
-            if self.profile is recorder.profile:
-                self.profile = None
         return recorder
+
+    @property
+    def telemetry(self) -> Optional["Telemetry"]:
+        """The attached telemetry registry, or ``None``."""
+        return self.fabric.telemetry
+
+    @property
+    def profile(self) -> Optional["WorkProfile"]:
+        """The attached work profile (else the flight recorder's), or
+        ``None``."""
+        profile = self.fabric.subscriber("profile")
+        if profile is None:
+            profile = self.fabric.subscriber("flight.profile")
+        return cast(Optional["WorkProfile"], profile)
+
+    @property
+    def flight(self) -> Optional["FlightRecorder"]:
+        """The attached flight recorder, or ``None``."""
+        return self.fabric.flight
 
     @property
     def retries(self) -> int:
@@ -519,40 +511,16 @@ class CacheCloud:
     # ------------------------------------------------------------------
     def handle_request(self, cache_id: int, doc_id: int, now: float) -> RequestResult:
         """Process one client request arriving at ``cache_id``."""
-        flight = self.flight
-        if flight is not None:
-            # Roll the recorder's window clock before any protocol work:
-            # every dispatch this handler triggers happens at ``now``, so
-            # it belongs to the window that is open *after* this call.
-            flight.advance(now)
-        telemetry = self.telemetry
-        if telemetry is None:
-            result = self._serve_request(cache_id, doc_id, now)
-            if flight is not None:
-                flight.observe_request(now, result)
-            return result
-        root = telemetry.begin_span("request", now, cache=cache_id, doc=doc_id)
+        observer = self.observer
+        if observer is None:
+            return self._serve_request(cache_id, doc_id, now)
+        observer.request_begin(cache_id, doc_id, now)
         try:
             result = self._serve_request(cache_id, doc_id, now)
         except BaseException:
-            telemetry.spans.unwind(root, now)
+            observer.abort(now)
             raise
-        telemetry.end_span(
-            root,
-            now + result.latency_ms / MINUTES_TO_MS,
-            outcome=result.outcome.value,
-            served_by=result.served_by,
-            latency_ms=result.latency_ms,
-        )
-        telemetry.count("requests." + result.outcome.value)
-        if result.outcome is not RequestOutcome.REJECTED:
-            # A rejected request has no service latency — recording its 0.0
-            # would drag every latency percentile toward zero exactly when
-            # the cloud is overloaded. Rejections are visible through the
-            # requests.rejected counter and the overload statistics.
-            telemetry.observe_request(now, result.latency_ms)
-        if flight is not None:
-            flight.observe_request(now, result)
+        observer.request_end(now, result)
         return result
 
     def _serve_request(
@@ -645,22 +613,16 @@ class CacheCloud:
     # ------------------------------------------------------------------
     def handle_update(self, doc_id: int, now: float) -> int:
         """Process one origin-server update; returns holders refreshed."""
-        flight = self.flight
-        if flight is not None:
-            flight.advance(now)
-            flight.observe_update(now)
-        telemetry = self.telemetry
-        if telemetry is None:
+        observer = self.observer
+        if observer is None:
             return self._apply_update(doc_id, now)
-        root = telemetry.begin_span("update", now, doc=doc_id)
+        observer.update_begin(doc_id, now)
         try:
             refreshed = self._apply_update(doc_id, now)
         except BaseException:
-            telemetry.spans.unwind(root, now)
+            observer.abort(now)
             raise
-        # The root's end is widened to cover the propagation children.
-        telemetry.end_span(root, now, refreshed=refreshed)
-        telemetry.count("updates.handled")
+        observer.update_end(now, refreshed)
         return refreshed
 
     def _apply_update(self, doc_id: int, now: float) -> int:

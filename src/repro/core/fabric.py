@@ -43,37 +43,56 @@ Dispatch styles
   middleware; the fault model covers the request/update protocols, and
   these transfers carry their own robustness story (see DESIGN.md).
 
+Observers
+---------
+The fabric holds the single observer reference of
+:mod:`repro.core.observer` and the keyed subscriber table behind it
+(:meth:`MessageFabric.subscribe`); ``telemetry``, ``flight`` and
+``dispatch_log`` are read-only views of that table. Every wire attempt
+emits an ``attempt`` event; a service model adds ``rejection`` and
+``queue``.
+
 The dispatch fast path
 ----------------------
-When no middleware or observer is attached — ``faults is None``,
-``dispatch_log is None``, ``telemetry is None``, and no service model
-(``service is None``, see :mod:`repro.core.overload`) — every dispatch is
-known in advance to succeed on its single attempt with nothing watching the
-wire. The fabric precomputes that condition into one boolean
+When no middleware or observer is attached — ``faults``, ``service`` (see
+:mod:`repro.core.overload`) and ``observer`` are all ``None`` — every
+dispatch is known in advance to succeed on its single attempt with nothing
+watching the wire. The fabric precomputes that condition into one boolean
 (``_fast_path``, resynced by every attach/detach), and the dispatch styles
-collapse to a single inlined meter-and-ledger charge plus a latency read:
-no retry loop, no per-attempt branching, no ``DispatchRecord``
-construction, and no ``Delivery`` allocation in the common zero-latency
-case (an interned ``ok=True, latency=0.0, attempts=1`` singleton is
-returned instead). Same-tick system-plane fan-outs
-(:meth:`send_system_batch`) and the anti-entropy digest pair
-(:meth:`send_exchange`) additionally batch into one meter transaction.
+collapse to one :meth:`~MessageFabric._charge` of the meter and the
+attempt ledger plus a latency read: no retry loop, no per-attempt
+branching, no events, and no ``Delivery`` allocation in the common
+zero-latency case (an interned ``ok=True, latency=0.0, attempts=1``
+singleton is returned instead). Same-tick system-plane fan-outs
+(:meth:`send_system_batch`), the anti-entropy digest pair
+(:meth:`send_exchange`) and lookup RPCs (:meth:`request_response`) charge
+all their legs in one meter transaction.
 
 Equivalence holds by construction: the fast path charges the same bytes
 and message counts to the same categories, returns the same latencies, and
 emits the same trace messages as the general path — it only skips work
-whose *outputs* are unobservable in that configuration (per-attempt log
-records, telemetry samples, retry bookkeeping that cannot trigger without
-an injector). The structural-equivalence suite in
-``tests/test_core_fabric.py`` pins this: meter, ledger, stats, outcomes and
-trace agree between a fast-path run and a fully observed run.
+whose *outputs* are unobservable in that configuration (attempt events and
+retry bookkeeping that cannot trigger without an injector). The
+structural-equivalence suite in ``tests/test_core_fabric.py`` pins this:
+meter, ledger, stats, outcomes and trace agree between a fast-path run and
+a fully observed run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    cast,
+)
 
+from repro.core.observer import ObserverFanOut, ProtocolObserver
 from repro.core.overload import OverloadController
 from repro.core.protocol import ProtocolTrace
 from repro.faults.injector import FaultInjector
@@ -93,9 +112,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a runtime import
 #: Control traffic category, hoisted so the RPC fast path pays no enum
 #: attribute lookup per call.
 _CONTROL = TrafficCategory.CONTROL
-
-#: Milliseconds of simulated time per simulated minute (histogram export).
-_MINUTES_TO_MS = 60_000.0
 
 
 @dataclass(frozen=True)
@@ -120,8 +136,8 @@ class DispatchRecord:
     which is exactly the quantity that must be identical between a run with
     no injector and a run with a zero-fault injector (the structural
     equivalence guarantee tested in ``tests/test_core_fabric.py``).
-    Construction is lazy: no record object exists unless a capture list is
-    attached (capture also disables the fast path, so the general path's
+    Construction is lazy: no record object exists unless a capture is
+    subscribed (capture also disables the fast path, so the general path's
     per-attempt bookkeeping sees every wire attempt).
     """
 
@@ -142,24 +158,25 @@ class FabricStats:
     #: Attempts turned away by a full destination queue (service model).
     rejections: int = 0
 
-    def reset(self) -> None:
-        """Zero every counter (measurement-window resets)."""
-        self.dispatches = 0
-        self.retries = 0
-        self.timeouts = 0
-        self.forced_deliveries = 0
-        self.rejections = 0
-
-
-#: A dispatch that failed before any wire attempt (no such case today, but
-#: roles use it as the "gave up with nothing accrued" zero value).
-FAILED_FREE = Delivery(ok=False, latency=0.0, attempts=0)
 
 #: Interned outcome of the overwhelmingly common dispatch: first attempt,
 #: delivered, zero latency (topology-less transports and intra-node hops).
 #: The fast path returns this singleton instead of allocating; ``Delivery``
 #: is frozen, so sharing is safe.
 DELIVERED_FREE = Delivery(ok=True, latency=0.0, attempts=1)
+
+
+class DispatchCapture(ProtocolObserver):
+    """The dispatch log as a subscriber: one record per wire attempt."""
+
+    def __init__(self) -> None:
+        self.records: List[DispatchRecord] = []
+
+    def attempt(
+        self, src: int, dst: int, num_bytes: int, category: str,
+        latency: Optional[float],
+    ) -> None:
+        self.records.append(DispatchRecord(src, dst, num_bytes, category))
 
 
 class MessageFabric:
@@ -182,10 +199,16 @@ class MessageFabric:
         self.trace = trace if trace is not None else ProtocolTrace()
         self.stats = FabricStats()
         self._faults: Optional[FaultInjector] = None
-        self._dispatch_log: Optional[List[DispatchRecord]] = None
-        self._telemetry: Optional["Telemetry"] = None
-        self._flight: Optional["FlightRecorder"] = None
         self._service: Optional[OverloadController] = None
+        self._subscribers: Dict[str, ProtocolObserver] = {}
+        #: The single observer reference every event goes to; ``None``
+        #: when nothing is subscribed (see :mod:`repro.core.observer`).
+        self.observer: Optional[ProtocolObserver] = None
+        #: Called with the new reference after every (un)subscribe, so the
+        #: owning cloud's mirror of ``observer`` never goes stale.
+        self.observer_listener: Optional[
+            Callable[[Optional[ProtocolObserver]], None]
+        ] = None
         #: True iff no middleware/observer is attached; see module docs.
         self._fast_path = True
 
@@ -193,10 +216,8 @@ class MessageFabric:
         """Recompute the fast-path flag after an attach/detach."""
         self._fast_path = (
             self._faults is None
-            and self._dispatch_log is None
-            and self._telemetry is None
-            and self._flight is None
             and self._service is None
+            and self.observer is None
         )
 
     # ------------------------------------------------------------------
@@ -270,41 +291,51 @@ class MessageFabric:
         return controller
 
     # ------------------------------------------------------------------
-    # Observers (dispatch capture + telemetry)
+    # Observers (see repro.core.observer)
     # ------------------------------------------------------------------
+    def subscribe(self, key: str, observer: ProtocolObserver) -> None:
+        """Subscribe ``observer`` under ``key``, replacing any previous one
+        (an object under two keys still sees each event once)."""
+        self._subscribers[key] = observer
+        self._resync_observer()
+
+    def unsubscribe(self, key: str) -> Optional[ProtocolObserver]:
+        """Remove and return the subscriber under ``key`` (if any)."""
+        observer = self._subscribers.pop(key, None)
+        self._resync_observer()
+        return observer
+
+    def subscriber(self, key: str) -> Optional[ProtocolObserver]:
+        """The subscriber under ``key``, or ``None``."""
+        return self._subscribers.get(key)
+
+    def _resync_observer(self) -> None:
+        unique = list({id(o): o for o in self._subscribers.values()}.values())
+        if not unique:
+            self.observer = None
+        elif len(unique) == 1:
+            self.observer = unique[0]
+        else:
+            self.observer = ObserverFanOut(unique)
+        self._sync_fast_path()
+        if self.observer_listener is not None:
+            self.observer_listener(self.observer)
+
     @property
     def dispatch_log(self) -> Optional[List[DispatchRecord]]:
         """The live wire-attempt capture list, or ``None``."""
-        return self._dispatch_log
-
-    @dispatch_log.setter
-    def dispatch_log(self, records: Optional[List[DispatchRecord]]) -> None:
-        self._dispatch_log = records
-        self._sync_fast_path()
+        capture = self._subscribers.get("dispatch_log")
+        return None if capture is None else cast(DispatchCapture, capture).records
 
     @property
     def telemetry(self) -> Optional["Telemetry"]:
-        """Optional telemetry sink; every wire attempt records its
-        category, bytes, and delivered latency. ``None`` keeps the fast
-        path enabled (the zero-overhead-when-off seam)."""
-        return self._telemetry
-
-    @telemetry.setter
-    def telemetry(self, telemetry: Optional["Telemetry"]) -> None:
-        self._telemetry = telemetry
-        self._sync_fast_path()
+        """The subscribed telemetry registry, or ``None``."""
+        return cast(Optional["Telemetry"], self._subscribers.get("telemetry"))
 
     @property
     def flight(self) -> Optional["FlightRecorder"]:
-        """Optional streaming flight recorder; every wire attempt lands in
-        the currently open window. ``None`` keeps the fast path enabled
-        (the same zero-overhead-when-off seam as telemetry)."""
-        return self._flight
-
-    @flight.setter
-    def flight(self, recorder: Optional["FlightRecorder"]) -> None:
-        self._flight = recorder
-        self._sync_fast_path()
+        """The subscribed flight recorder, or ``None``."""
+        return cast(Optional["FlightRecorder"], self._subscribers.get("flight"))
 
     # ------------------------------------------------------------------
     # Tracing
@@ -315,30 +346,34 @@ class MessageFabric:
 
     def capture_dispatches(self) -> List[DispatchRecord]:
         """Start recording wire attempts; returns the live record list."""
-        records: List[DispatchRecord] = []
-        self.dispatch_log = records
-        return records
+        capture = DispatchCapture()
+        self.subscribe("dispatch_log", capture)
+        return capture.records
 
     def stop_dispatch_capture(self) -> None:
         """Stop recording wire attempts."""
-        self.dispatch_log = None
+        self.unsubscribe("dispatch_log")
 
     # ------------------------------------------------------------------
     # Wire attempts (the only two ways bytes leave a node)
     # ------------------------------------------------------------------
-    def _charge(self, num_bytes: int, category: TrafficCategory) -> None:
-        """Fast-path accounting: one message on the meter and the ledger.
+    def _charge(
+        self, num_bytes: int, category: TrafficCategory, messages: int = 1
+    ) -> None:
+        """Fast-path accounting: ``messages`` dispatches totalling
+        ``num_bytes`` on the fabric stats, the meter and the ledger.
 
         Inlines :meth:`Transport.send` minus the latency read. Callers are
         internal and pass validated non-negative sizes, so the meter's
         negative-bytes guard is skipped here.
         """
+        self.stats.dispatches += messages
         transport = self.transport
-        transport.messages_attempted += 1
+        transport.messages_attempted += messages
         transport.bytes_attempted += num_bytes
         meter = transport.meter
         meter._bytes[category] += num_bytes
-        meter._messages[category] += 1
+        meter._messages[category] += messages
 
     def _attempt(
         self, src: int, dst: int, num_bytes: int, category: TrafficCategory
@@ -360,10 +395,6 @@ class MessageFabric:
         delayed-but-delivered attempt accrues its queue wait but no
         timeout.
         """
-        if self._dispatch_log is not None:
-            self._dispatch_log.append(
-                DispatchRecord(src, dst, num_bytes, category.value)
-            )
         self.stats.dispatches += 1
         if self._faults is None:
             latency: Optional[float] = self.transport.send(
@@ -371,6 +402,7 @@ class MessageFabric:
             )
         else:
             latency = self._faults.deliver(src, dst, num_bytes, category)
+        observer = self.observer
         if latency is not None and self._service is not None:
             delay = self._service.admit_message(dst, category.value, num_bytes)
             if delay is None:
@@ -378,27 +410,17 @@ class MessageFabric:
                 # caller sees an ordinary loss, so reliable dispatches
                 # retry under the active ladder.
                 self.stats.rejections += 1
-                if self._telemetry is not None:
-                    self._telemetry.count(f"fabric.rejected.{category.value}")
-                if self._flight is not None:
-                    self._flight.record_rejection(category.value)
+                if observer is not None:
+                    observer.rejection(category.value)
                 latency = None
             else:
-                if delay > 0.0:
-                    latency += delay
-                    if self._telemetry is not None:
-                        self._telemetry.histogram(
-                            f"queue_delay_ms.{category.value}"
-                        ).record(delay * _MINUTES_TO_MS)
-                if self._telemetry is not None:
-                    self._telemetry.gauge(
-                        f"queue_depth.{dst}",
-                        float(self._service.depth_of(dst)),
+                latency += delay
+                if observer is not None:
+                    observer.queue(
+                        dst, category.value, delay, self._service.depth_of(dst)
                     )
-        if self._telemetry is not None:
-            self._telemetry.record_attempt(category.value, num_bytes, latency)
-        if self._flight is not None:
-            self._flight.record_attempt(category.value, num_bytes, latency)
+        if observer is not None:
+            observer.attempt(src, dst, num_bytes, category.value, latency)
         return latency
 
     def _bare(
@@ -409,16 +431,10 @@ class MessageFabric:
         Used for forced deliveries and system-plane traffic; still logged
         and charged so the conservation invariant holds.
         """
-        if self._dispatch_log is not None:
-            self._dispatch_log.append(
-                DispatchRecord(src, dst, num_bytes, category.value)
-            )
         self.stats.dispatches += 1
         latency = self.transport.send(src, dst, num_bytes, category)
-        if self._telemetry is not None:
-            self._telemetry.record_attempt(category.value, num_bytes, latency)
-        if self._flight is not None:
-            self._flight.record_attempt(category.value, num_bytes, latency)
+        if self.observer is not None:
+            self.observer.attempt(src, dst, num_bytes, category.value, latency)
         return latency
 
     # ------------------------------------------------------------------
@@ -476,14 +492,11 @@ class MessageFabric:
     ) -> Delivery:
         """Dispatch one message; ``message`` is traced on delivery.
 
-        Only *reliable* dispatches wait for acknowledgement: a lost
-        best-effort message costs nothing in sender latency and ticks no
-        timeout counter (fire-and-forget), while every lost reliable
-        attempt costs the policy's timeout plus the retransmission backoff.
+        Only *reliable* dispatches wait for acknowledgement and retry (see
+        :meth:`_general`).
         """
         if self._fast_path:
             # No middleware, no observers: the single attempt always lands.
-            self.stats.dispatches += 1
             self._charge(num_bytes, category)
             if message is not None:
                 self.trace.emit(message)
@@ -491,21 +504,60 @@ class MessageFabric:
             if topology is None or src == dst:
                 return DELIVERED_FREE
             return Delivery(True, ms_to_minutes(topology.latency_ms(src, dst)), 1)
-        policy = self.retry_policy
-        retrying = reliable and policy is not None
-        attempts = policy.max_attempts if retrying and policy is not None else 1
+        return self._general(src, dst, num_bytes, category, reliable, 1, False,
+                             None, 0, message)
+
+    def _general(
+        self,
+        src: int,
+        dst: int,
+        num_bytes: int,
+        category: TrafficCategory,
+        reliable: bool,
+        hops: int,
+        reply: bool,
+        on_request_delivered: Optional[Callable[[int], None]],
+        irh: int,
+        message: Optional[object],
+    ) -> Delivery:
+        """The general path of :meth:`send` and :meth:`request_response`:
+        ``hops`` request legs, then a reply leg when ``reply``, retried as
+        a unit under the retry policy when ``reliable``.
+
+        The callback and the trace fire on every attempt whose request
+        legs all arrive. Every lost reliable attempt costs the policy's
+        timeout plus the retransmission backoff; a lost best-effort one
+        costs nothing (fire-and-forget).
+        """
+        policy = self.retry_policy if reliable else None
+        attempts = policy.max_attempts if policy is not None else 1
         latency = 0.0
         for attempt in range(attempts):
             if attempt > 0:
                 assert policy is not None  # attempts > 1 implies a policy
                 self.stats.retries += 1
                 latency += policy.backoff_minutes(attempt - 1)
-            leg = self._attempt(src, dst, num_bytes, category)
-            if leg is not None:
+            delivered = True
+            for _ in range(hops):
+                leg = self._attempt(src, dst, num_bytes, category)
+                if leg is None:
+                    delivered = False
+                    break
+                latency += leg
+            if delivered:
+                if on_request_delivered is not None:
+                    on_request_delivered(irh)
                 if message is not None:
                     self.trace.emit(message)
-                return Delivery(True, latency + leg, attempt + 1)
-            if retrying and policy is not None:
+                if reply:
+                    response = self._attempt(dst, src, num_bytes, category)
+                    if response is None:
+                        delivered = False
+                    else:
+                        latency += response
+            if delivered:
+                return Delivery(True, latency, attempt + 1)
+            if policy is not None:
                 self.stats.timeouts += 1
                 latency += policy.timeout_minutes
         return Delivery(False, latency, attempts)
@@ -546,7 +598,6 @@ class MessageFabric:
     ) -> float:
         """Dispatch infrastructure-plane traffic (no fault middleware)."""
         if self._fast_path:
-            self.stats.dispatches += 1
             self._charge(num_bytes, category)
             topology = self.transport.topology
             if topology is None or src == dst:
@@ -579,12 +630,9 @@ class MessageFabric:
         if not legs:
             return 0.0
         if not self._fast_path:
-            slowest = 0.0
-            for src, dst, num_bytes in legs:
-                latency = self._bare(src, dst, num_bytes, category)
-                if latency > slowest:
-                    slowest = latency
-            return slowest
+            return max(
+                [0.0] + [self._bare(src, dst, n, category) for src, dst, n in legs]
+            )
         self.stats.dispatches += len(legs)
         return self.transport.send_batch(legs, category)
 
@@ -604,12 +652,7 @@ class MessageFabric:
         as one meter transaction.
         """
         if self._fast_path:
-            total = forward_bytes + reverse_bytes
-            self.stats.dispatches += 2
-            transport = self.transport
-            transport.messages_attempted += 2
-            transport.bytes_attempted += total
-            transport.meter.record_batch(category, total, 2)
+            self._charge(forward_bytes + reverse_bytes, category, 2)
             return (True, True)
         forward = self.send(src, dst, forward_bytes, category, reliable=False)
         if not forward.ok:
@@ -641,58 +684,20 @@ class MessageFabric:
         if self._fast_path:
             # Every leg lands: one meter transaction for the whole RPC.
             legs = hops + 1
-            leg_bytes = legs * CONTROL_MESSAGE_BYTES
-            self.stats.dispatches += legs
-            transport = self.transport
-            transport.messages_attempted += legs
-            transport.bytes_attempted += leg_bytes
-            meter = transport.meter
-            meter._bytes[_CONTROL] += leg_bytes
-            meter._messages[_CONTROL] += legs
+            self._charge(legs * CONTROL_MESSAGE_BYTES, _CONTROL, legs)
             if on_request_delivered is not None:
                 on_request_delivered(irh)
             if request is not None:
                 self.trace.emit(request)
-            topology = transport.topology
+            topology = self.transport.topology
             if topology is None or src == dst:
                 return DELIVERED_FREE
             latency = hops * ms_to_minutes(
                 topology.latency_ms(src, dst)
             ) + ms_to_minutes(topology.latency_ms(dst, src))
             return Delivery(True, latency, 1)
-        policy = self.retry_policy
-        attempts = policy.max_attempts if policy is not None else 1
-        latency = 0.0
-        for attempt in range(attempts):
-            if attempt > 0:
-                assert policy is not None
-                self.stats.retries += 1
-                latency += policy.backoff_minutes(attempt - 1)
-            delivered = True
-            for _ in range(hops):
-                leg = self._attempt(src, dst, CONTROL_MESSAGE_BYTES, _CONTROL)
-                if leg is None:
-                    delivered = False
-                    break
-                latency += leg
-            if delivered:
-                if on_request_delivered is not None:
-                    on_request_delivered(irh)
-                if request is not None:
-                    self.trace.emit(request)
-                response = self._attempt(
-                    dst, src, CONTROL_MESSAGE_BYTES, _CONTROL
-                )
-                if response is None:
-                    delivered = False
-                else:
-                    latency += response
-            if delivered:
-                return Delivery(True, latency, attempt + 1)
-            if policy is not None:
-                self.stats.timeouts += 1
-                latency += policy.timeout_minutes
-        return Delivery(False, latency, attempts)
+        return self._general(src, dst, CONTROL_MESSAGE_BYTES, _CONTROL, True,
+                             hops, True, on_request_delivered, irh, request)
 
     def __repr__(self) -> str:
         middleware = "faults" if self._faults is not None else "none"

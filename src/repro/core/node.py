@@ -24,6 +24,7 @@ import enum
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
+from repro.core.fabric import Delivery
 from repro.core.protocol import (
     DocumentTransfer,
     EvictionNotice,
@@ -38,7 +39,6 @@ from repro.strategies.base import FetchRoute, ReplyHop, Retrieval, ServedFrom
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.core.cloud import CacheCloud
-    from repro.observe.spans import Span
 
 #: Simulated minutes -> reported milliseconds.
 MINUTES_TO_MS = 60_000.0
@@ -111,19 +111,15 @@ class CacheNode:
             )
         beacon_role = cloud.beacon_roles[beacon_id]
         overload = cloud.overload
+        observer = cloud.observer
         if overload is not None and overload.shed_lookup(beacon_id):
             # Graceful degradation, first rung: the beacon point is
             # saturated (queue depth over the high watermark), so the
             # cooperative lookup is shed and the miss served origin-direct.
             # Cheaper for the beacon than rejecting the lookup RPC leg by
             # leg, and the requester is still served.
-            tel_shed = cloud.telemetry
-            if tel_shed is not None:
-                span = tel_shed.begin_span(
-                    "overload_shed", now, kind="lookup", node=beacon_id
-                )
-                tel_shed.end_span(span, now)
-                tel_shed.count("overload.shed.lookup")
+            if observer is not None:
+                observer.shed(now, "lookup", beacon_id)
             return self.origin_fallback(
                 doc_id, size, now,
                 RequestOutcome.OVERLOAD_ORIGIN_FALLBACK, 0.0,
@@ -136,12 +132,6 @@ class CacheNode:
         request: Optional[LookupRequest] = None
         if fabric.trace.enabled:
             request = LookupRequest(cache_id, beacon_id, doc_id)
-        tel = cloud.telemetry
-        lookup_span: Optional["Span"] = None
-        if tel is not None:
-            lookup_span = tel.begin_span(
-                "beacon_lookup", now, beacon=beacon_id, hops=hops
-            )
         # The delivery callback is the beacon state's bound ``record_lookup``
         # with the IrH value threaded through the fabric — no per-request
         # closure allocation on the hot path.
@@ -153,22 +143,13 @@ class CacheNode:
             on_request_delivered=beacon_state.record_lookup,
             request=request,
         )
-        profile = cloud.profile
-        if profile is not None:
-            profile.charge("beacon_lookup", hops + 1)
-        if tel is not None and lookup_span is not None:
-            tel.end_span(
-                lookup_span,
-                now + lookup.latency,
-                ok=lookup.ok,
-                attempts=lookup.attempts,
+        if observer is not None:
+            observer.leg(
+                "beacon_lookup", now, lookup, hops + 1,
+                {"beacon": beacon_id, "hops": hops},
             )
         if not lookup.ok:
-            self._cloud.fault_origin_fallbacks += 1
-            return self.origin_fallback(
-                doc_id, size, now,
-                RequestOutcome.CLOUD_TIMEOUT_ORIGIN_FALLBACK, lookup.latency,
-            )
+            return self._timed_out(doc_id, size, now, lookup.latency)
 
         holder_id = beacon_role.answer_lookup(doc_id, cache_id, version)
         if (
@@ -180,12 +161,8 @@ class CacheNode:
             # itself saturated — fetch from the origin instead of piling a
             # peer transfer onto its queue. The lookup already succeeded,
             # so this counts as an ordinary group miss downstream.
-            if tel is not None:
-                span = tel.begin_span(
-                    "overload_shed", now, kind="peer_fetch", node=holder_id
-                )
-                tel.end_span(span, now)
-                tel.count("overload.shed.peer_fetch")
+            if observer is not None:
+                observer.shed(now, "peer_fetch", holder_id)
             holder_id = None
         if fabric.trace.enabled:
             # Only built under capture: the frozenset copy of the holder set
@@ -200,39 +177,18 @@ class CacheNode:
             )
 
         if holder_id is not None:
-            fetch_start = now + lookup.latency
-            fetch_span: Optional["Span"] = None
-            if tel is not None:
-                fetch_span = tel.begin_span(
-                    "peer_fetch", fetch_start, holder=holder_id, bytes=size
-                )
-            transfer = fabric.send_document(
-                holder_id,
-                cache_id,
-                size,
-                TrafficCategory.PEER_TRANSFER,
-                reliable=True,
-                message=self._transfer_message(
-                    holder_id, cache_id, doc_id, size,
-                    TrafficCategory.PEER_TRANSFER,
-                ),
+            transfer = self._send_copy(
+                holder_id, cache_id, doc_id, size, TrafficCategory.PEER_TRANSFER
             )
-            if profile is not None:
-                profile.charge("peer_fetch", transfer.attempts)
-            if tel is not None and fetch_span is not None:
-                tel.end_span(
-                    fetch_span,
-                    fetch_start + transfer.latency,
-                    ok=transfer.ok,
-                    attempts=transfer.attempts,
+            if observer is not None:
+                observer.leg(
+                    "peer_fetch", now + lookup.latency, transfer,
+                    transfer.attempts, {"holder": holder_id, "bytes": size},
                 )
             if not transfer.ok:
                 # The peer copy never arrived; degrade to the origin.
-                cloud.fault_origin_fallbacks += 1
-                return self.origin_fallback(
-                    doc_id, size, now,
-                    RequestOutcome.CLOUD_TIMEOUT_ORIGIN_FALLBACK,
-                    lookup.latency + transfer.latency,
+                return self._timed_out(
+                    doc_id, size, now, lookup.latency + transfer.latency
                 )
             # Serving a peer refreshes the holder's recency for the document.
             cloud.caches[holder_id].storage.access(doc_id, now)
@@ -252,26 +208,13 @@ class CacheNode:
                     doc_id, size, version, now, beacon_id, lookup.latency
                 )
             cloud.origin.serve_fetch(doc_id)
-            fetch_start = now + lookup.latency
-            fetch_span = None
-            if tel is not None:
-                fetch_span = tel.begin_span(
-                    "origin_fetch", fetch_start, bytes=size
+            transfer_latency = self._force_from_origin(doc_id, size)
+            if observer is not None:
+                fetch_start = now + lookup.latency
+                observer.leg(
+                    "origin_fetch", fetch_start, fetch_start + transfer_latency,
+                    1, {"bytes": size},
                 )
-            transfer_latency = fabric.send_forced_document(
-                cloud.origin.node_id,
-                cache_id,
-                size,
-                TrafficCategory.ORIGIN_FETCH,
-                message=self._transfer_message(
-                    cloud.origin.node_id, cache_id, doc_id, size,
-                    TrafficCategory.ORIGIN_FETCH,
-                ),
-            )
-            if profile is not None:
-                profile.charge("origin_fetch")
-            if tel is not None and fetch_span is not None:
-                tel.end_span(fetch_span, fetch_start + transfer_latency)
             served_by = cloud.origin.node_id
 
         # Admission decision at the requester, delegated to the strategy.
@@ -311,43 +254,22 @@ class CacheNode:
         and the requester gets its own at the end.
         """
         cloud = self._cloud
-        fabric = cloud.fabric
         cache_id = self.cache.cache_id
         cloud.origin.serve_fetch(doc_id)
-        tel = cloud.telemetry
+        observer = cloud.observer
         leg_start = now + lookup_latency
-        leg_span: Optional["Span"] = None
-        if tel is not None:
-            leg_span = tel.begin_span(
-                "origin_fetch", leg_start, via_beacon=beacon_id, bytes=size
-            )
-        leg_one = fabric.send_document(
-            cloud.origin.node_id,
-            beacon_id,
-            size,
+        leg_one = self._send_copy(
+            cloud.origin.node_id, beacon_id, doc_id, size,
             TrafficCategory.ORIGIN_FETCH,
-            reliable=True,
-            message=self._transfer_message(
-                cloud.origin.node_id, beacon_id, doc_id, size,
-                TrafficCategory.ORIGIN_FETCH,
-            ),
         )
-        profile = cloud.profile
-        if profile is not None:
-            profile.charge("origin_fetch", leg_one.attempts)
-        if tel is not None and leg_span is not None:
-            tel.end_span(
-                leg_span,
-                leg_start + leg_one.latency,
-                ok=leg_one.ok,
-                attempts=leg_one.attempts,
+        if observer is not None:
+            observer.leg(
+                "origin_fetch", leg_start, leg_one, leg_one.attempts,
+                {"via_beacon": beacon_id, "bytes": size},
             )
         if not leg_one.ok:
-            cloud.fault_origin_fallbacks += 1
-            return self.origin_fallback(
-                doc_id, size, now,
-                RequestOutcome.CLOUD_TIMEOUT_ORIGIN_FALLBACK,
-                lookup_latency + leg_one.latency,
+            return self._timed_out(
+                doc_id, size, now, lookup_latency + leg_one.latency
             )
         forward_start = leg_start + leg_one.latency
         # On-path admission at the beacon hop, between the two legs.
@@ -364,38 +286,17 @@ class CacheNode:
                 decision_time=forward_start,
             ),
         )
-        forward_span: Optional["Span"] = None
-        if tel is not None:
-            forward_span = tel.begin_span(
-                "beacon_forward", forward_start, beacon=beacon_id, bytes=size
-            )
-        leg_two = fabric.send_document(
-            beacon_id,
-            cache_id,
-            size,
-            TrafficCategory.PEER_TRANSFER,
-            reliable=True,
-            message=self._transfer_message(
-                beacon_id, cache_id, doc_id, size,
-                TrafficCategory.PEER_TRANSFER,
-            ),
+        leg_two = self._send_copy(
+            beacon_id, cache_id, doc_id, size, TrafficCategory.PEER_TRANSFER
         )
-        if profile is not None:
-            # Second leg of the same origin retrieval: charged to the
-            # origin-fetch phase, not peer_fetch — no peer served anything.
-            profile.charge("origin_fetch", leg_two.attempts)
-        if tel is not None and forward_span is not None:
-            tel.end_span(
-                forward_span,
-                forward_start + leg_two.latency,
-                ok=leg_two.ok,
-                attempts=leg_two.attempts,
+        if observer is not None:
+            observer.leg(
+                "beacon_forward", forward_start, leg_two, leg_two.attempts,
+                {"beacon": beacon_id, "bytes": size},
             )
         if not leg_two.ok:
-            cloud.fault_origin_fallbacks += 1
-            return self.origin_fallback(
+            return self._timed_out(
                 doc_id, size, now,
-                RequestOutcome.CLOUD_TIMEOUT_ORIGIN_FALLBACK,
                 lookup_latency + leg_one.latency + leg_two.latency,
             )
         # Requester-side admission at the end of the routed fetch (the
@@ -441,28 +342,14 @@ class CacheNode:
         cache = self.cache
         cache.stats.origin_fetches += 1
         cloud.origin.serve_fetch(doc_id)
-        tel = cloud.telemetry
-        fetch_start = now + accrued_latency
-        fetch_span: Optional["Span"] = None
-        if tel is not None:
-            fetch_span = tel.begin_span(
-                "origin_fetch", fetch_start, bytes=size, fallback=True
+        transfer_latency = self._force_from_origin(doc_id, size)
+        observer = cloud.observer
+        if observer is not None:
+            fetch_start = now + accrued_latency
+            observer.leg(
+                "origin_fetch", fetch_start, fetch_start + transfer_latency,
+                1, {"bytes": size, "fallback": True},
             )
-        transfer_latency = cloud.fabric.send_forced_document(
-            cloud.origin.node_id,
-            cache.cache_id,
-            size,
-            TrafficCategory.ORIGIN_FETCH,
-            message=self._transfer_message(
-                cloud.origin.node_id, cache.cache_id, doc_id, size,
-                TrafficCategory.ORIGIN_FETCH,
-            ),
-        )
-        profile = cloud.profile
-        if profile is not None:
-            profile.charge("origin_fetch")
-        if tel is not None and fetch_span is not None:
-            tel.end_span(fetch_span, fetch_start + transfer_latency)
         version = cloud.origin.version_of(doc_id)
         evicted = cache.admit(doc_id, size, version, now)
         if evicted is None:
@@ -486,12 +373,6 @@ class CacheNode:
         fabric = cloud.fabric
         cache = self.cache
         size = cloud.origin.serve_fetch(doc_id)
-        tel = cloud.telemetry
-        fetch_span: Optional["Span"] = None
-        if tel is not None:
-            fetch_span = tel.begin_span(
-                "origin_fetch", now, bytes=size, direct=True
-            )
         request = fabric.send_control(
             cache.cache_id, cloud.origin.node_id, reliable=True
         )
@@ -503,22 +384,13 @@ class CacheNode:
             # the origin is the last line of service — so the client is
             # still served.
             cloud.fault_origin_fallbacks += 1
-        transfer_latency = fabric.send_forced_document(
-            cloud.origin.node_id,
-            cache.cache_id,
-            size,
-            TrafficCategory.ORIGIN_FETCH,
-            message=self._transfer_message(
-                cloud.origin.node_id, cache.cache_id, doc_id, size,
-                TrafficCategory.ORIGIN_FETCH,
-            ),
-        )
-        profile = cloud.profile
-        if profile is not None:
+        transfer_latency = self._force_from_origin(doc_id, size)
+        if cloud.observer is not None:
             # Request leg(s) plus the forced document leg of the direct fetch.
-            profile.charge("origin_fetch", request.attempts + 1)
-        if tel is not None and fetch_span is not None:
-            tel.end_span(fetch_span, now + request.latency + transfer_latency)
+            cloud.observer.leg(
+                "origin_fetch", now, now + request.latency + transfer_latency,
+                request.attempts + 1, {"bytes": size, "direct": True},
+            )
         cache.stats.origin_fetches += 1
         version = cloud.origin.version_of(doc_id)
         cache.admit(doc_id, size, version, now)  # ad hoc local store
@@ -621,11 +493,6 @@ class CacheNode:
         else:
             min_residence = None
         update_tracker = cloud._update_rates.get(doc_id)
-        profile = cloud.profile
-        if profile is not None:
-            # One store decision, whose work scales with the live holders
-            # whose residence the DAI component examined.
-            profile.charge("placement", 1 + len(live))
         return PlacementContext(
             cache_id=cache.cache_id,
             doc_id=doc_id,
@@ -643,18 +510,48 @@ class CacheNode:
     # ------------------------------------------------------------------
     # Helpers
     # ------------------------------------------------------------------
-    def _transfer_message(
+    def _timed_out(
+        self, doc_id: int, size: int, now: float, accrued_latency: float
+    ) -> RequestResult:
+        """The cooperative path exhausted its retry budget: serve from the
+        origin (counted as a fault fallback)."""
+        self._cloud.fault_origin_fallbacks += 1
+        return self.origin_fallback(
+            doc_id, size, now,
+            RequestOutcome.CLOUD_TIMEOUT_ORIGIN_FALLBACK, accrued_latency,
+        )
+
+    def _send_copy(
         self,
         src: int,
         dst: int,
         doc_id: int,
         size: int,
         category: TrafficCategory,
-    ) -> Optional[DocumentTransfer]:
-        """A traceable transfer record, or ``None`` when capture is off."""
-        if not self._cloud.fabric.trace.enabled:
-            return None
-        return DocumentTransfer(src, dst, doc_id, size, category.value)
+    ) -> Delivery:
+        """Reliably dispatch one copy of ``doc_id`` (traced when capture is
+        on)."""
+        fabric = self._cloud.fabric
+        message: Optional[DocumentTransfer] = None
+        if fabric.trace.enabled:
+            message = DocumentTransfer(src, dst, doc_id, size, category.value)
+        return fabric.send_document(
+            src, dst, size, category, reliable=True, message=message
+        )
+
+    def _force_from_origin(self, doc_id: int, size: int) -> float:
+        """The origin's copy of ``doc_id`` to this cache, forced past the
+        retry budget (the origin is the last line of service)."""
+        cloud = self._cloud
+        src, dst = cloud.origin.node_id, self.cache.cache_id
+        message: Optional[DocumentTransfer] = None
+        if cloud.fabric.trace.enabled:
+            message = DocumentTransfer(
+                src, dst, doc_id, size, TrafficCategory.ORIGIN_FETCH.value
+            )
+        return cloud.fabric.send_forced_document(
+            src, dst, size, TrafficCategory.ORIGIN_FETCH, message=message
+        )
 
     def __repr__(self) -> str:
         return f"CacheNode(cache={self.cache!r})"

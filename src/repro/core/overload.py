@@ -50,7 +50,7 @@ robustness story (see the fabric module docs).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Deque, Dict, Optional, Set, Tuple
 
 from repro.faults.plan import RetryPolicy
@@ -342,10 +342,6 @@ class OverloadController:
         if node_id in self._exempt:
             return 0
         return self.queue_for(node_id).depth()
-
-    def is_shedding(self, node_id: int) -> bool:
-        """Whether the node is currently in the shedding state."""
-        return node_id in self._shedding
 
     # ------------------------------------------------------------------
     # Admission

@@ -21,7 +21,7 @@ accounting are fabric properties, not role code.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from repro.core.beacon import BeaconState
 from repro.core.protocol import UpdateNotice, UpdatePush
@@ -30,7 +30,6 @@ from repro.network.origin import OriginServer
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.core.cloud import CacheCloud
-    from repro.observe.spans import Span
 
 
 class BeaconRole:
@@ -70,13 +69,11 @@ class BeaconRole:
         caches = cloud.caches
         candidates = self.state.directory.holders(doc_id)
         candidates.discard(requester)
-        profile = cloud.profile
-        if profile is not None:
+        if cloud.observer is not None:
             # The walk below visits every candidate exactly once: this is
-            # the O(holders) verification cost the ROADMAP holder-walk item
-            # describes, charged before the loop so the recorded length is
-            # independent of how many entries the loop then repairs.
-            profile.record_walk(doc_id, len(candidates))
+            # the O(holders) verification cost, reported before the loop so
+            # the length is independent of how many entries it repairs.
+            cloud.observer.walk(doc_id, len(candidates))
         live: List[int] = []
         for holder in sorted(candidates):
             holder_cache = caches[holder]
@@ -113,6 +110,61 @@ class BeaconRole:
     # ------------------------------------------------------------------
     # Cooperative update propagation (paper §2.2)
     # ------------------------------------------------------------------
+    def receive_update(
+        self, doc_id: int, version: int, size: int, now: float
+    ) -> Optional[Tuple[List[int], float]]:
+        """The server→beacon half of an update, shared by every fan-out.
+
+        Sends the bare invalidation notice when no live holder exists, the
+        fresh body otherwise. Returns ``(sorted live holders, time the body
+        reached the beacon)``, or ``None`` when there is nothing to push: no
+        holder, or a lost body — which leaves *every* holder stale until its
+        next request repairs it.
+        """
+        cloud = self._cloud
+        fabric = cloud.fabric
+        beacon_id = self.beacon_id
+        caches = cloud.caches
+        holders = [
+            h
+            for h in sorted(self.state.directory.holders(doc_id))
+            if caches[h].alive and caches[h].storage.get(doc_id) is not None
+        ]
+        if fabric.trace.enabled:
+            fabric.emit(
+                UpdateNotice(doc_id, version, beacon_id, bool(holders), size)
+            )
+        cloud.origin.note_update_message(doc_id)
+        origin_id = cloud.origin.node_id
+        observer = cloud.observer
+        if not holders:
+            notice = fabric.send_control(origin_id, beacon_id, reliable=True)
+            if observer is not None:
+                observer.leg(
+                    "update_notice", now, now + notice.latency,
+                    notice.attempts, {"beacon": beacon_id, "ok": notice.ok},
+                )
+            if notice.ok:
+                self.state.record_update(cloud.doc_irh(doc_id))
+            return None
+        body = fabric.send_document(
+            origin_id,
+            beacon_id,
+            size,
+            TrafficCategory.UPDATE_SERVER_TO_BEACON,
+            reliable=True,
+        )
+        if observer is not None:
+            observer.leg(
+                "server_to_beacon", now, body, body.attempts,
+                {"beacon": beacon_id, "bytes": size},
+            )
+        if not body.ok:
+            cloud.update_pushes_lost += len(holders)
+            return None
+        self.state.record_update(cloud.doc_irh(doc_id))
+        return holders, now + body.latency
+
     def propagate_update(
         self, doc_id: int, version: int, size: int, now: float
     ) -> int:
@@ -121,75 +173,24 @@ class BeaconRole:
         This star fan-out is the default ``on_update`` of every strategy in
         :mod:`repro.strategies`;
         :class:`~repro.strategies.cup.CUPTreeStrategy` replaces it with an
-        interest-tree push rooted at the same beacon.
+        interest-tree push rooted at the same beacon. Both start with
+        :meth:`receive_update`.
 
-        Returns the number of holders refreshed. A lost server→beacon body
-        leaves *every* holder stale; a lost fan-out push leaves that one
-        holder stale. Both are detected by the version check on the
-        holder's next request and repaired there.
+        Returns the number of holders refreshed. A lost fan-out push leaves
+        that one holder stale; the version check on its next request
+        detects and repairs it.
         """
+        received = self.receive_update(doc_id, version, size, now)
+        if received is None:
+            return 0
+        # Fan-out legs all start once the body has reached the beacon.
+        holders, fanout_start = received
         cloud = self._cloud
         fabric = cloud.fabric
         beacon_id = self.beacon_id
-        irh = cloud.doc_irh(doc_id)
-        caches = cloud.caches
-        holders = [
-            h
-            for h in sorted(self.state.directory.holders(doc_id))
-            if caches[h].alive and caches[h].storage.get(doc_id) is not None
-        ]
-        carries_body = bool(holders)
-        if fabric.trace.enabled:
-            fabric.emit(
-                UpdateNotice(doc_id, version, beacon_id, carries_body, size)
-            )
-        cloud.origin.note_update_message(doc_id)
-        origin_id = cloud.origin.node_id
-        tel = cloud.telemetry
-        if not carries_body:
-            # Nobody holds the document: a bare invalidation notice suffices.
-            notice_span: Optional["Span"] = None
-            if tel is not None:
-                notice_span = tel.begin_span(
-                    "update_notice", now, beacon=beacon_id
-                )
-            notice = fabric.send_control(origin_id, beacon_id, reliable=True)
-            if tel is not None and notice_span is not None:
-                tel.end_span(
-                    notice_span, now + notice.latency, ok=notice.ok
-                )
-            if notice.ok:
-                self.state.record_update(irh)
-            return 0
-        body_span: Optional["Span"] = None
-        if tel is not None:
-            body_span = tel.begin_span(
-                "server_to_beacon", now, beacon=beacon_id, bytes=size
-            )
-        body = fabric.send_document(
-            origin_id,
-            beacon_id,
-            size,
-            TrafficCategory.UPDATE_SERVER_TO_BEACON,
-            reliable=True,
-        )
-        if tel is not None and body_span is not None:
-            tel.end_span(
-                body_span,
-                now + body.latency,
-                ok=body.ok,
-                attempts=body.attempts,
-            )
-        if not body.ok:
-            # The fresh body never reached the beacon: every holder is now
-            # stale until its next request triggers the repair path.
-            cloud.update_pushes_lost += len(holders)
-            return 0
-        self.state.record_update(irh)
-        # Fan-out legs all start once the body has reached the beacon.
-        fanout_start = now + body.latency
-        refreshed = 0
+        observer = cloud.observer
         overload = cloud.overload
+        refreshed = 0
         for holder in holders:
             if holder != beacon_id:
                 if overload is not None and overload.defer_fanout(holder):
@@ -198,21 +199,9 @@ class BeaconRole:
                     # the same recovery contract as a *lost* push (version
                     # check on its next request, or anti-entropy, repairs
                     # it), so deferral needs no new repair machinery.
-                    if tel is not None:
-                        defer_span = tel.begin_span(
-                            "overload_defer",
-                            fanout_start,
-                            kind="fanout_leg",
-                            node=holder,
-                        )
-                        tel.end_span(defer_span, fanout_start)
-                        tel.count("overload.deferred.fanout")
+                    if observer is not None:
+                        observer.shed(fanout_start, "fanout_leg", holder)
                     continue
-                leg_span: Optional["Span"] = None
-                if tel is not None:
-                    leg_span = tel.begin_span(
-                        "fanout_leg", fanout_start, holder=holder, bytes=size
-                    )
                 push = fabric.send_document(
                     beacon_id,
                     holder,
@@ -220,15 +209,10 @@ class BeaconRole:
                     TrafficCategory.UPDATE_FANOUT,
                     reliable=True,
                 )
-                profile = cloud.profile
-                if profile is not None:
-                    profile.charge("fanout_leg", push.attempts)
-                if tel is not None and leg_span is not None:
-                    tel.end_span(
-                        leg_span,
-                        fanout_start + push.latency,
-                        ok=push.ok,
-                        attempts=push.attempts,
+                if observer is not None:
+                    observer.leg(
+                        "fanout_leg", fanout_start, push, push.attempts,
+                        {"holder": holder, "bytes": size},
                     )
                 if not push.ok:
                     cloud.update_pushes_lost += 1
@@ -277,16 +261,10 @@ class OriginRole:
         """
         cloud = self._cloud
         fabric = cloud.fabric
-        tel = cloud.telemetry
         refreshed = 0
         for cache in cloud.caches:
             if cache.alive and cache.holds(doc_id):
                 self.server.note_update_message(doc_id)
-                push_span: Optional["Span"] = None
-                if tel is not None:
-                    push_span = tel.begin_span(
-                        "origin_refresh", now, holder=cache.cache_id, bytes=size
-                    )
                 push = fabric.send_document(
                     self.node_id,
                     cache.cache_id,
@@ -294,12 +272,10 @@ class OriginRole:
                     TrafficCategory.UPDATE_SERVER_TO_BEACON,
                     reliable=True,
                 )
-                if tel is not None and push_span is not None:
-                    tel.end_span(
-                        push_span,
-                        now + push.latency,
-                        ok=push.ok,
-                        attempts=push.attempts,
+                if cloud.observer is not None:
+                    cloud.observer.leg(
+                        "origin_refresh", now, push, push.attempts,
+                        {"holder": cache.cache_id, "bytes": size},
                     )
                 if not push.ok:
                     cloud.update_pushes_lost += 1

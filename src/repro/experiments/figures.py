@@ -25,7 +25,7 @@ variable, default serial). Results are value-identical at any job count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.config import (
@@ -50,7 +50,7 @@ from repro.metrics.loadbalance import improvement_percent
 from repro.metrics.report import Table, format_figure_header
 from repro.workload.documents import Corpus, seed_corpus_rng
 from repro.workload.generator import WorkloadConfig
-from repro.workload.sydney import SydneyConfig, SydneyTraceGenerator
+from repro.workload.sydney import SydneyConfig
 from repro.workload.trace import Trace
 
 
@@ -193,25 +193,6 @@ def _sydney_workload(
         corpus_documents=scale.num_documents,
         corpus_seed=scale.seed,
     )
-
-
-def _zipf_trace(
-    scale: FigureScale,
-    num_caches: int,
-    alpha: float = 0.9,
-    update_rate: Optional[float] = None,
-) -> Tuple[Corpus, Trace]:
-    """Corpus + materialized Zipf trace (for in-process experiments)."""
-    return _zipf_workload(scale, num_caches, alpha, update_rate).materialize()
-
-
-def _sydney_trace(
-    scale: FigureScale,
-    num_caches: int,
-    update_rate: Optional[float] = None,
-) -> Tuple[Corpus, Trace]:
-    """Corpus + materialized Sydney-like trace."""
-    return _sydney_workload(scale, num_caches, update_rate).materialize()
 
 
 def _spec(

@@ -59,7 +59,7 @@ from repro.strategies.spec import StrategySpec, build_strategy
 from repro.workload.documents import Corpus, build_corpus, seed_corpus_rng
 from repro.workload.generator import SyntheticTraceGenerator, WorkloadConfig
 from repro.workload.sydney import SydneyConfig, SydneyTraceGenerator
-from repro.workload.trace import RequestStreamStats, Trace
+from repro.workload.trace import RequestRecord, RequestStreamStats, Trace, UpdateRecord
 
 if TYPE_CHECKING:  # imported lazily at runtime to avoid a package cycle
     from repro.audit.antientropy import AntiEntropyConfig
@@ -220,30 +220,16 @@ def run_spec(spec: ExperimentSpec) -> ExperimentResult:
         # wrapper preserves ``unique_request_docs`` at O(corpus) state.
         generator = spec.workload.build_generator()
         counter = RequestStreamStats(generator.requests())
-        result = run_experiment(
-            spec.config,
-            corpus,
-            counter,
-            generator.updates(),
-            duration=spec.duration,
-            warmup=spec.warmup,
-            fault_plan=spec.fault_plan,
-            churn=spec.churn,
-            anti_entropy=spec.anti_entropy,
-            audit=spec.audit,
-            overload=spec.overload,
-            elastic=spec.elastic,
-            strategy=strategy,
-            flight=flight,
-        )
-        result.unique_request_docs = counter.unique_docs
-        return result.detached()
-    trace = spec.workload.build_trace()
+        requests: Iterable[RequestRecord] = counter
+        updates: Iterable[UpdateRecord] = generator.updates()
+    else:
+        trace = spec.workload.build_trace()
+        requests, updates = trace.requests, trace.updates
     result = run_experiment(
         spec.config,
         corpus,
-        trace.requests,
-        trace.updates,
+        requests,
+        updates,
         duration=spec.duration,
         warmup=spec.warmup,
         fault_plan=spec.fault_plan,
@@ -255,7 +241,11 @@ def run_spec(spec: ExperimentSpec) -> ExperimentResult:
         strategy=strategy,
         flight=flight,
     )
-    result.unique_request_docs = len(trace.request_counts_by_doc())
+    result.unique_request_docs = (
+        counter.unique_docs
+        if spec.streaming
+        else len(trace.request_counts_by_doc())
+    )
     return result.detached()
 
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Sequence, Tuple, TypeVar
+from typing import Callable, Dict, Iterable, Tuple, TypeVar
 
 #: The paper's document-update-rate sweep (updates per unit time, log-spaced;
 #: Figures 7-9). 195 is the trace's observed update rate — the dashed
@@ -38,10 +38,3 @@ def rings_for(num_caches: int, ring_size: int) -> int:
             f"{num_caches} caches cannot form equal rings of {ring_size}"
         )
     return num_caches // ring_size
-
-
-def scaled_update_rates(scale: float, base: Sequence[float] = UPDATE_RATE_SWEEP) -> List[float]:
-    """The update sweep scaled by ``scale`` (for reduced-size runs)."""
-    if scale <= 0:
-        raise ValueError("scale must be positive")
-    return [rate * scale for rate in base]

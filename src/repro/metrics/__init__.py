@@ -15,7 +15,7 @@ from repro.metrics.loadbalance import (
     peak_to_mean,
 )
 from repro.metrics.report import Table, format_figure_header
-from repro.metrics.timeseries import TimeSeries, WindowedCounter
+from repro.metrics.timeseries import TimeSeries, WindowedCounter, WindowedDelta
 
 __all__ = [
     "CloudMonitor",
@@ -23,6 +23,7 @@ __all__ = [
     "Table",
     "TimeSeries",
     "WindowedCounter",
+    "WindowedDelta",
     "coefficient_of_variation",
     "format_figure_header",
     "load_balance_stats",

@@ -57,7 +57,7 @@ from typing import Any, Dict, Optional, Tuple
 
 from repro.edgecache.stats import CacheStats
 from repro.metrics.loadbalance import coefficient_of_variation, peak_to_mean
-from repro.metrics.timeseries import TimeSeries
+from repro.metrics.timeseries import TimeSeries, WindowedDelta
 from repro.simulation.engine import Simulator
 from repro.simulation.events import EventPriority
 from repro.simulation.process import PeriodicProcess
@@ -69,53 +69,22 @@ _METRICS = (
     "network_mb",
     "docs_stored",
 )
+_FAULT_METRICS = ("retries", "timeouts", "messages_dropped", "stale_refreshes")
+_LATENCY_METRICS = ("request_p50_ms", "request_p99_ms")
 
-#: Extra windowed series sampled only when the cloud has faults attached.
-_FAULT_METRICS = (
-    "retries",
-    "timeouts",
-    "messages_dropped",
-    "stale_refreshes",
-)
-
-#: Extra series sampled only when an anti-entropy process is attached.
-_AE_METRICS = (
-    "stale_copies",
-    "stale_age_mean",
-    "ae_repairs",
-)
-
-#: Extra series sampled only when a telemetry registry is attached.
-_LATENCY_METRICS = (
-    "request_p50_ms",
-    "request_p99_ms",
-)
-
-#: Extra series sampled only when an overload controller is attached.
-_OVERLOAD_METRICS = (
-    "avg_queue_depth",
-    "rejection_rate",
-    "shed_rate",
-)
-
-#: Extra series sampled only when a work profile
-#: (``repro.observe.profile``) is attached: the time-resolved view of the
-#: ROADMAP holder-walk item — mean holders verified per answered lookup,
-#: and total holder-verification work performed in the window.
-_PROFILE_METRICS = (
-    "holder_walk_mean",
-    "holder_verify_units",
-)
-
-#: Extra series sampled only when an elastic controller is attached:
-#: ``cloud_size`` (gauge: live caches), windowed scale event counts, and
-#: windowed drain traffic — the time-resolved view of the autoscaler.
-_ELASTIC_METRICS = (
-    "cloud_size",
-    "scale_out_events",
-    "scale_in_events",
-    "drain_bytes",
-)
+#: The optional planes described above, in series order: the cloud
+#: attribute whose presence enables each one, and the series it adds.
+_PLANES: Dict[str, Tuple[str, Tuple[str, ...]]] = {
+    "faults": ("faults", _FAULT_METRICS),
+    "ae": ("anti_entropy", ("stale_copies", "stale_age_mean", "ae_repairs")),
+    "latency": ("telemetry", _LATENCY_METRICS),
+    "overload": ("overload", ("avg_queue_depth", "rejection_rate", "shed_rate")),
+    "elastic": (
+        "elastic",
+        ("cloud_size", "scale_out_events", "scale_in_events", "drain_bytes"),
+    ),
+    "profile": ("profile", ("holder_walk_mean", "holder_verify_units")),
+}
 
 
 class CloudMonitor:
@@ -126,36 +95,28 @@ class CloudMonitor:
             raise ValueError(f"period must be > 0, got {period}")
         self.cloud = cloud
         self.period = period
+        planes = [
+            plane
+            for plane, (attr, _) in _PLANES.items()
+            if getattr(cloud, attr, None) is not None
+        ]
         names = list(_METRICS)
-        self._track_faults = getattr(cloud, "faults", None) is not None
-        if self._track_faults:
-            names.extend(_FAULT_METRICS)
-        self._track_ae = getattr(cloud, "anti_entropy", None) is not None
-        if self._track_ae:
-            names.extend(_AE_METRICS)
-        self._track_latency = getattr(cloud, "telemetry", None) is not None
-        if self._track_latency:
-            names.extend(_LATENCY_METRICS)
-        self._track_overload = getattr(cloud, "overload", None) is not None
-        if self._track_overload:
-            names.extend(_OVERLOAD_METRICS)
-        self._track_elastic = getattr(cloud, "elastic", None) is not None
-        if self._track_elastic:
-            names.extend(_ELASTIC_METRICS)
-        self._track_profile = getattr(cloud, "profile", None) is not None
-        if self._track_profile:
-            names.extend(_PROFILE_METRICS)
+        for plane in planes:
+            names.extend(_PLANES[plane][1])
         self.series: Dict[str, TimeSeries] = {
             name: TimeSeries(name) for name in names
         }
         self._last_loads: Dict[int, float] = {}
         self._last_bytes = 0
         self._last_stats = CacheStats()
-        self._last_faults: Dict[str, float] = {}
-        self._last_ae_repairs = 0.0
-        self._last_overload: Dict[str, float] = {}
-        self._last_elastic: Dict[str, float] = {}
-        self._last_profile: Dict[str, float] = {}
+        self._track_latency = "latency" in planes
+        #: Windowed deltas of each counter-backed plane (``_<plane>_snapshot``
+        #: reads its totals), rebased when the monitor starts.
+        self._deltas: Dict[str, WindowedDelta[str, float]] = {
+            plane: WindowedDelta(getattr(self, f"_{plane}_snapshot"))
+            for plane in planes
+            if plane != "latency"
+        }
         self._window_start = 0.0
         self._simulator = simulator
         self._process = PeriodicProcess(
@@ -187,20 +148,12 @@ class CloudMonitor:
         self._last_loads = dict(self.cloud.beacon_loads())
         self._last_bytes = self.cloud.transport.meter.total_bytes
         self._last_stats = self._aggregate()
-        if self._track_faults:
-            self._last_faults = self._fault_snapshot()
-        if self._track_ae:
-            self._last_ae_repairs = float(self.cloud.anti_entropy.stats.repairs)
-        if self._track_overload:
-            self._last_overload = self._overload_snapshot()
-        if self._track_elastic:
-            self._last_elastic = self._elastic_snapshot()
-        if self._track_profile:
-            self._last_profile = self._profile_snapshot()
+        for delta in self._deltas.values():
+            delta.rebase()
         if self._track_latency:
             self._window_start = self._simulator.now
 
-    def _fault_snapshot(self) -> Dict[str, float]:
+    def _faults_snapshot(self) -> Dict[str, float]:
         cloud = self.cloud
         return {
             "retries": float(cloud.retries),
@@ -208,6 +161,9 @@ class CloudMonitor:
             "messages_dropped": float(cloud.faults.stats.dropped),
             "stale_refreshes": float(cloud.stale_refreshes),
         }
+
+    def _ae_snapshot(self) -> Dict[str, float]:
+        return {"ae_repairs": float(self.cloud.anti_entropy.stats.repairs)}
 
     def _overload_snapshot(self) -> Dict[str, float]:
         stats = self.cloud.overload.stats
@@ -275,30 +231,23 @@ class CloudMonitor:
         resident = sum(len(cache.storage) for cache in self.cloud.caches)
         self.series["docs_stored"].append(now, float(resident))
 
-        if self._track_faults:
-            snapshot = self._fault_snapshot()
+        if "faults" in self._deltas:
+            faults = self._deltas["faults"].take()
             for name in _FAULT_METRICS:
-                self.series[name].append(
-                    now, snapshot[name] - self._last_faults.get(name, 0.0)
-                )
-            self._last_faults = snapshot
+                self.series[name].append(now, faults[name])
 
-        if self._track_ae:
+        if "ae" in self._deltas:
             stale, age_sum = self._staleness_scan(now)
             self.series["stale_copies"].append(now, float(stale))
             self.series["stale_age_mean"].append(
                 now, age_sum / stale if stale else 0.0
             )
-            repairs = float(self.cloud.anti_entropy.stats.repairs)
-            self.series["ae_repairs"].append(now, repairs - self._last_ae_repairs)
-            self._last_ae_repairs = repairs
+            self.series["ae_repairs"].append(
+                now, self._deltas["ae"].take()["ae_repairs"]
+            )
 
-        if self._track_overload:
-            snapshot = self._overload_snapshot()
-            last = self._last_overload
-            delta = {
-                name: snapshot[name] - last.get(name, 0.0) for name in snapshot
-            }
+        if "overload" in self._deltas:
+            delta = self._deltas["overload"].take()
             samples = delta["depth_samples"]
             self.series["avg_queue_depth"].append(
                 now, delta["depth_sum"] / samples if samples else 0.0
@@ -310,30 +259,23 @@ class CloudMonitor:
             self.series["shed_rate"].append(
                 now, delta["shed_total"] / arrivals if arrivals else 0.0
             )
-            self._last_overload = snapshot
 
-        if self._track_elastic:
+        if "elastic" in self._deltas:
             self.series["cloud_size"].append(
                 now, float(self.cloud.elastic.active_count())
             )
-            snapshot = self._elastic_snapshot()
-            last = self._last_elastic
+            elastic = self._deltas["elastic"].take()
             for name in ("scale_out_events", "scale_in_events", "drain_bytes"):
-                self.series[name].append(
-                    now, snapshot[name] - last.get(name, 0.0)
-                )
-            self._last_elastic = snapshot
+                self.series[name].append(now, elastic[name])
 
-        if self._track_profile:
-            snapshot = self._profile_snapshot()
-            last = self._last_profile
-            walks = snapshot["verify_walks"] - last.get("verify_walks", 0.0)
-            units = snapshot["verify_units"] - last.get("verify_units", 0.0)
+        if "profile" in self._deltas:
+            profile = self._deltas["profile"].take()
+            walks = profile["verify_walks"]
+            units = profile["verify_units"]
             self.series["holder_walk_mean"].append(
                 now, units / walks if walks else 0.0
             )
             self.series["holder_verify_units"].append(now, units)
-            self._last_profile = snapshot
 
         if self._track_latency:
             latencies = self.cloud.telemetry.request_latencies

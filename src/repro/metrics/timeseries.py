@@ -4,7 +4,20 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import (
+    Callable,
+    Dict,
+    Generic,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+    TypeVar,
+)
+
+K = TypeVar("K")
+N = TypeVar("N", int, float)
 
 
 def _nearest_rank(sorted_values: Sequence[float], q: float) -> float:
@@ -152,3 +165,34 @@ class WindowedCounter:
         if not self._buckets:
             return 0.0
         return self.total() / (len(self._buckets) * self.window)
+
+
+class WindowedDelta(Generic[K, N]):
+    """Per-window deltas of the cumulative counters ``read`` returns.
+
+    :meth:`take` returns how much each counter grew since the previous
+    take (or construction, or :meth:`rebase`), keeping value types. A
+    counter below its baseline was reset inside the window (the runner
+    zeroes statistics at the warm-up boundary): its post-reset value *is*
+    the delta.
+    """
+
+    def __init__(self, read: Callable[[], Mapping[K, N]]) -> None:
+        self._read = read
+        self._base = read()
+
+    def rebase(self) -> None:
+        """Restart the window at the counters' current totals."""
+        self._base = self._read()
+
+    def take(self) -> Dict[K, N]:
+        """Deltas since the last take; the current totals become the base."""
+        totals = self._read()
+        base = self._base
+        self._base = totals
+        return {
+            name: value - base.get(name, 0)
+            if value >= base.get(name, 0)
+            else value
+            for name, value in totals.items()
+        }

@@ -1,19 +1,22 @@
 """Deterministic, zero-overhead-when-off observability for the protocol plane.
 
-The package splits into six small modules:
+Every recorder here subscribes to the protocol plane's single observer
+seam (:mod:`repro.core.observer`), whose typed events the roles, the
+strategy plane and the message fabric emit. Six small modules:
 
 * :mod:`repro.observe.spans` — request-scoped trace spans over sim time.
 * :mod:`repro.observe.histogram` — fixed-bucket log-spaced histograms.
-* :mod:`repro.observe.registry` — the :class:`Telemetry` object that owns
-  counters, gauges, histograms, and the span sink.
+* :mod:`repro.observe.registry` — the :class:`Telemetry` subscriber that
+  owns counters, gauges, histograms, and the span sink.
 * :mod:`repro.observe.export` — canonical JSON artifact and text reports.
 * :mod:`repro.observe.profile` — per-role, per-phase work attribution
-  (:class:`WorkProfile`), charged at the role seams.
+  (:class:`WorkProfile`), charged from ``leg``/``walk``/``placement``.
 * :mod:`repro.observe.flight` — the streaming windowed flight recorder
   (:class:`FlightRecorder`), its JSONL artifact, and the render/diff
   dashboard behind ``repro flight``.
 
-Attach with ``cloud.attach_telemetry(Telemetry())`` and/or
+Attach with ``cloud.attach_telemetry(Telemetry())``,
+``cloud.attach_profile(WorkProfile())`` and/or
 ``cloud.attach_flight(FlightRecorder(path))``; when nothing is attached
 the protocol plane's behavior and accounting are byte-identical to
 running without this package imported at all.

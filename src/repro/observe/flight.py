@@ -25,14 +25,14 @@ resume while :func:`read_flight` tolerates it on read.
 
 Clocking
 --------
-The fabric has no clock, so windows are rolled from the request/update
-entry points: ``CacheCloud.handle_request``/``handle_update`` call
-:meth:`FlightRecorder.advance` before any protocol work. All fabric
+The fabric has no clock, so windows are rolled by the ``request_begin``
+and ``update_begin`` events (:mod:`repro.core.observer`), which the
+request/update entry points emit before any protocol work. All fabric
 dispatches triggered by one handler happen at that handler's timestamp,
 so attributing them to the currently open window is exact, and idle gaps
 emit explicit zero windows to keep the series aligned with the grid.
 
-Like every observer behind the fabric seam, the recorder is strictly
+Like every subscriber of the observer seam, the recorder is strictly
 off-path: attaching changes what is *recorded*, never what the protocols
 do (same dispatches, same meter, same RNG draws — pinned by the
 structural-equivalence tests in ``tests/test_observe_flight.py``).
@@ -45,6 +45,8 @@ import os
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Tuple
 
+from repro.core.observer import ProtocolObserver
+from repro.metrics.timeseries import WindowedDelta
 from repro.observe.profile import PHASE_ROLES, PHASES, WorkProfile
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids runtime imports
@@ -135,12 +137,12 @@ class FlightWriter:
             self._fh.close()
 
 
-class FlightRecorder:
+class FlightRecorder(ProtocolObserver):
     """Rolls fixed-width sim-time windows and streams them to disk.
 
     Owns a :class:`~repro.observe.profile.WorkProfile` (one is created when
-    not supplied); ``CacheCloud.attach_flight`` installs that profile as
-    the cloud's charging target so per-phase cost deltas land in the same
+    not supplied); ``CacheCloud.attach_flight`` subscribes that profile
+    alongside the recorder so per-phase cost deltas land in the same
     windows as the traffic they explain.
     """
 
@@ -176,9 +178,9 @@ class FlightRecorder:
         #: category -> [messages, bytes, lost, latency_ms_sum]
         self._fabric: Dict[str, List[float]] = {}
         self._queue_rejections: Dict[str, int] = {}
-        # Baselines for cumulative sources (profile, overload stats).
-        self._profile_base = self.profile.snapshot()
-        self._overload_base: Dict[str, float] = {}
+        # Windowed deltas of the cumulative sources.
+        self._cost = WindowedDelta(self._profile_totals)
+        self._overload = WindowedDelta(self._overload_snapshot)
 
     @classmethod
     def resume(cls, path: str, top_docs: Optional[int] = None) -> "FlightRecorder":
@@ -225,22 +227,24 @@ class FlightRecorder:
                 }
             )
             self._header_written = True
-        self._overload_base = self._overload_snapshot()
+        self._overload.rebase()
 
     def unbind(self) -> None:
         """Drop the cloud reference (recording pauses, file stays open)."""
         self._cloud = None
 
     # ------------------------------------------------------------------
-    # Recording hooks (cloud entry points + fabric)
+    # Observer events (repro.core.observer)
     # ------------------------------------------------------------------
     def advance(self, now: float) -> None:
         """Close every window whose end is at or before ``now``."""
         while now >= self._window_start + self.window:
             self._close_window(self._window_start + self.window)
 
-    def observe_request(self, now: float, result: "RequestResult") -> None:
-        """Count one served client request (windows already advanced)."""
+    def request_begin(self, cache_id: int, doc_id: int, now: float) -> None:
+        self.advance(now)
+
+    def request_end(self, now: float, result: "RequestResult") -> None:
         self._requests += 1
         outcome = result.outcome.value
         self._outcomes[outcome] = self._outcomes.get(outcome, 0) + 1
@@ -252,14 +256,14 @@ class FlightRecorder:
             if latency > self._latency_max:
                 self._latency_max = latency
 
-    def observe_update(self, now: float) -> None:
-        """Count one origin update (windows already advanced)."""
+    def update_begin(self, doc_id: int, now: float) -> None:
+        self.advance(now)
         self._updates += 1
 
-    def record_attempt(
-        self, category: str, num_bytes: int, latency: Optional[float]
+    def attempt(
+        self, src: int, dst: int, num_bytes: int, category: str,
+        latency: Optional[float],
     ) -> None:
-        """One fabric wire attempt (mirrors ``Telemetry.record_attempt``)."""
         entry = self._fabric.get(category)
         if entry is None:
             entry = [0, 0, 0, 0.0]
@@ -271,8 +275,7 @@ class FlightRecorder:
         else:
             entry[3] += latency * _MINUTES_TO_MS
 
-    def record_rejection(self, category: str) -> None:
-        """One wire attempt turned away by a full destination queue."""
+    def rejection(self, category: str) -> None:
         self._queue_rejections[category] = (
             self._queue_rejections.get(category, 0) + 1
         )
@@ -280,6 +283,14 @@ class FlightRecorder:
     # ------------------------------------------------------------------
     # Window lifecycle
     # ------------------------------------------------------------------
+    def _profile_totals(self) -> Dict[Tuple[str, int], int]:
+        """Cumulative (phase, 0) counts and (phase, 1) units."""
+        totals = {(phase, 0): count for phase, count in self.profile.counts.items()}
+        totals.update(
+            ((phase, 1), units) for phase, units in self.profile.units.items()
+        )
+        return totals
+
     def _overload_snapshot(self) -> Dict[str, float]:
         cloud = self._cloud
         overload = getattr(cloud, "overload", None) if cloud is not None else None
@@ -293,24 +304,6 @@ class FlightRecorder:
             "depth_sum": float(stats.queue_depth_sum),
             "depth_samples": float(stats.queue_depth_samples),
         }
-
-    def _overload_delta(self) -> Dict[str, float]:
-        """Per-window overload-stat deltas, tolerant of counter resets.
-
-        The experiment runner zeroes overload statistics at the warm-up
-        boundary; a counter below its baseline means such a reset happened
-        inside the window, and the post-reset value *is* the delta.
-        """
-        snapshot = self._overload_snapshot()
-        base = self._overload_base
-        delta = {
-            name: value - base.get(name, 0.0)
-            if value >= base.get(name, 0.0)
-            else value
-            for name, value in snapshot.items()
-        }
-        self._overload_base = snapshot
-        return delta
 
     def _close_window(self, end: float, partial: bool = False) -> None:
         record: Dict[str, object] = {
@@ -331,15 +324,12 @@ class FlightRecorder:
             record["fabric"] = self._fabric
         if self._queue_rejections:
             record["queue_rejections"] = self._queue_rejections
-        counts, units = self.profile.snapshot()
-        base_counts, base_units = self._profile_base
-        cost: Dict[str, List[int]] = {}
-        for phase in PHASES:
-            delta_count = counts[phase] - base_counts[phase]
-            delta_units = units[phase] - base_units[phase]
-            if delta_count or delta_units:
-                cost[phase] = [delta_count, delta_units]
-        self._profile_base = (counts, units)
+        delta = self._cost.take()
+        cost = {
+            phase: [delta[phase, 0], delta[phase, 1]]
+            for phase in PHASES
+            if delta[phase, 0] or delta[phase, 1]
+        }
         if cost:
             record["cost"] = cost
         max_walk, top = self.profile.drain_window(self.top_docs)
@@ -348,7 +338,7 @@ class FlightRecorder:
                 "max": max_walk,
                 "top": [[doc_id, walked] for doc_id, walked in top],
             }
-        overload = self._overload_delta()
+        overload = self._overload.take()
         if overload:
             samples = overload["depth_samples"]
             record["overload"] = {

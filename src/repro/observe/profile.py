@@ -4,9 +4,11 @@ The telemetry registry (:mod:`repro.observe.registry`) answers "what
 happened on the wire"; this module answers "who did the work". A
 :class:`WorkProfile` holds one integer pair per protocol *phase* — how many
 times the phase ran (``counts``) and how many abstract work units it
-consumed (``units``) — charged at the role seams by
-:class:`~repro.core.node.CacheNode` and
-:class:`~repro.core.roles.BeaconRole`:
+consumed (``units``). It is a subscriber of the observer seam
+(:mod:`repro.core.observer`): ``leg`` events charge the phase their span
+name maps to (:data:`LEG_PHASES`), ``walk`` events charge
+``holder_verify``, and ``placement`` events that carry a placement context
+charge ``placement``:
 
 ========================  =========  =====================================
 phase                     role       one unit is
@@ -21,12 +23,12 @@ phase                     role       one unit is
 ``placement``             requester  one live holder examined by a store
                                      decision, plus the decision itself
 ``fanout_leg``            beacon     one update fan-out push attempt
+                                     (star leg or CUP tree push)
 ========================  =========  =====================================
 
-Charging follows the telemetry attach contract: roles read
-``cloud.profile`` through a single ``is not None`` check, so a cloud with
-no profile attached executes the exact same instruction stream as before
-the profiler existed (pinned by the structural-equivalence tests), and
+Charging follows the telemetry attach contract: a cloud with no
+subscriber executes the exact same instruction stream as before the
+profiler existed (pinned by the structural-equivalence tests), and
 charging draws no randomness and sends no messages — the numbers are a
 pure function of the protocol's own deterministic execution.
 
@@ -37,11 +39,13 @@ and a per-window hottest-documents table, which the flight recorder
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
+from repro.core.observer import LegOutcome, ProtocolObserver
+from repro.core.utility import PlacementContext
 from repro.observe.histogram import LogHistogram
 
-__all__ = ["PHASES", "PHASE_ROLES", "WorkProfile"]
+__all__ = ["LEG_PHASES", "PHASES", "PHASE_ROLES", "WorkProfile"]
 
 #: Every phase a role may charge, in protocol order.
 PHASES: Tuple[str, ...] = (
@@ -63,8 +67,21 @@ PHASE_ROLES: Dict[str, str] = {
     "placement": "requester",
 }
 
+#: The phase each protocol leg's work is charged to, by span name. A
+#: beacon-routed fetch charges both of its legs to ``origin_fetch``: no
+#: peer served anything. Update notices, server→beacon bodies and origin
+#: refreshes are not charged.
+LEG_PHASES: Dict[str, str] = {
+    "beacon_lookup": "beacon_lookup",
+    "peer_fetch": "peer_fetch",
+    "origin_fetch": "origin_fetch",
+    "beacon_forward": "origin_fetch",
+    "fanout_leg": "fanout_leg",
+    "tree_push": "fanout_leg",
+}
 
-class WorkProfile:
+
+class WorkProfile(ProtocolObserver):
     """Cumulative per-phase work counters plus the holder-walk histogram.
 
     All state is integer counters and one fixed-bucket histogram: memory is
@@ -83,7 +100,7 @@ class WorkProfile:
         self._window_walk_max = 0
 
     # ------------------------------------------------------------------
-    # Charging (called from the role seams)
+    # Charging (driven by observer events)
     # ------------------------------------------------------------------
     def charge(self, phase: str, units: int = 1) -> None:
         """Record one execution of ``phase`` costing ``units`` work units."""
@@ -99,6 +116,24 @@ class WorkProfile:
             self._window_walks[doc_id] = walked
         if walked > self._window_walk_max:
             self._window_walk_max = walked
+
+    walk = record_walk
+
+    def leg(
+        self, name: str, start: float, outcome: LegOutcome, units: int,
+        attrs: Dict[str, object],
+    ) -> None:
+        phase = LEG_PHASES.get(name)
+        if phase is not None:
+            self.charge(phase, units)
+
+    def placement(
+        self, time: float, stored: bool, context: Optional[PlacementContext]
+    ) -> None:
+        if context is not None:
+            # One store decision, whose work scales with the live holders
+            # whose residence the DAI component examined.
+            self.charge("placement", 1 + len(context.existing_holders))
 
     # ------------------------------------------------------------------
     # Snapshots and window drains (called by observers)

@@ -29,7 +29,7 @@ fingerprints enforce this).
 Strategies never dispatch messages themselves on the request path — they
 only answer decisions and call back into the node's protocol verbs
 (``admit_and_register`` / ``cache.decline``), so fault behaviour, byte
-accounting, and telemetry all remain fabric properties.
+accounting, and observer events all remain fabric and role properties.
 """
 
 from __future__ import annotations
@@ -37,11 +37,12 @@ from __future__ import annotations
 import enum
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.core.node import CacheNode
     from repro.core.roles import BeaconRole
+    from repro.core.utility import PlacementContext
 
 
 class FetchRoute(enum.Enum):
@@ -96,21 +97,17 @@ class Retrieval:
 
 
 def apply_store_decision(
-    node: "CacheNode", retrieval: Retrieval, stored: bool
+    node: "CacheNode",
+    retrieval: Retrieval,
+    stored: bool,
+    context: Optional["PlacementContext"] = None,
 ) -> bool:
     """Carry out a requester-side store-or-not decision.
 
-    Emits the ``placement`` telemetry span (when a registry is attached),
-    then either admits-and-registers or ticks the decline counter — the
-    exact sequence the pre-strategy ``serve_miss`` hard-wired.
+    Either admits-and-registers or ticks the decline counter — the exact
+    sequence the pre-strategy ``serve_miss`` hard-wired — then emits the
+    ``placement`` event with the ``context`` the policy consulted, if any.
     """
-    cloud = node.cloud
-    tel = cloud.telemetry
-    placement_span = None
-    if tel is not None:
-        placement_span = tel.begin_span(
-            "placement", retrieval.decision_time, stored=stored
-        )
     if stored:
         node.admit_and_register(
             retrieval.doc_id, retrieval.size_bytes, retrieval.version,
@@ -118,8 +115,9 @@ def apply_store_decision(
         )
     else:
         node.cache.decline()
-    if tel is not None and placement_span is not None:
-        tel.end_span(placement_span, retrieval.decision_time)
+    observer = node.cloud.observer
+    if observer is not None:
+        observer.placement(retrieval.decision_time, stored, context)
     return stored
 
 

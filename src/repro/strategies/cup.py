@@ -23,16 +23,15 @@ star under any admission rule.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Optional, Set
+from typing import TYPE_CHECKING, Dict, Set
 
-from repro.core.protocol import UpdateNotice, UpdatePush
+from repro.core.protocol import UpdatePush
 from repro.network.bandwidth import TrafficCategory
 from repro.strategies.paper import PolicyStrategy
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.core.placement import PlacementPolicy
     from repro.core.roles import BeaconRole
-    from repro.observe.spans import Span
 
 
 class CUPTreeStrategy(PolicyStrategy):
@@ -53,65 +52,22 @@ class CUPTreeStrategy(PolicyStrategy):
         size: int,
         now: float,
     ) -> int:
+        # Same server→beacon half as the star; an unreached root (no
+        # holder, or a lost body) leaves nothing to push.
+        received = beacon_role.receive_update(doc_id, version, size, now)
+        if received is None:
+            return 0
+        holders, body_arrival = received
         cloud = beacon_role.cloud
         fabric = cloud.fabric
         beacon_id = beacon_role.beacon_id
-        irh = cloud.doc_irh(doc_id)
-        caches = cloud.caches
-        holders = [
-            h
-            for h in sorted(beacon_role.state.directory.holders(doc_id))
-            if caches[h].alive and caches[h].storage.get(doc_id) is not None
-        ]
-        carries_body = bool(holders)
-        if fabric.trace.enabled:
-            fabric.emit(
-                UpdateNotice(doc_id, version, beacon_id, carries_body, size)
-            )
-        cloud.origin.note_update_message(doc_id)
-        origin_id = cloud.origin.node_id
-        tel = cloud.telemetry
-        if not carries_body:
-            # Nobody holds the document: same bare invalidation notice as
-            # the star — there is no tree to build.
-            notice_span: Optional["Span"] = None
-            if tel is not None:
-                notice_span = tel.begin_span(
-                    "update_notice", now, beacon=beacon_id
-                )
-            notice = fabric.send_control(origin_id, beacon_id, reliable=True)
-            if tel is not None and notice_span is not None:
-                tel.end_span(notice_span, now + notice.latency, ok=notice.ok)
-            if notice.ok:
-                beacon_role.state.record_update(irh)
-            return 0
-        body_span: Optional["Span"] = None
-        if tel is not None:
-            body_span = tel.begin_span(
-                "server_to_beacon", now, beacon=beacon_id, bytes=size
-            )
-        body = fabric.send_document(
-            origin_id,
-            beacon_id,
-            size,
-            TrafficCategory.UPDATE_SERVER_TO_BEACON,
-            reliable=True,
-        )
-        if tel is not None and body_span is not None:
-            tel.end_span(
-                body_span, now + body.latency, ok=body.ok, attempts=body.attempts
-            )
-        if not body.ok:
-            # The root never got the body: the whole tree stays stale.
-            cloud.update_pushes_lost += len(holders)
-            return 0
-        beacon_role.state.record_update(irh)
+        observer = cloud.observer
 
         # Deterministic k-ary tree: the beacon at index 0, holders in sorted
         # order after it; node i relays to indices k*i+1 .. k*i+k. A node's
         # push starts when its own copy arrived, so latency accrues per level.
         order = [beacon_id] + [h for h in holders if h != beacon_id]
-        arrival: Dict[int, float] = {beacon_id: now + body.latency}
+        arrival: Dict[int, float] = {beacon_id: body_arrival}
         deferred: Set[int] = set()
         overload = cloud.overload
         k = self.fanout
@@ -128,21 +84,10 @@ class CUPTreeStrategy(PolicyStrategy):
                     # Same graceful-degradation contract as the star: a
                     # saturated holder's push is deferred, and here the
                     # subtree below it is stranded with it.
-                    if tel is not None:
-                        defer_span = tel.begin_span(
-                            "overload_defer", parent_at,
-                            kind="tree_push", node=child,
-                        )
-                        tel.end_span(defer_span, parent_at)
-                        tel.count("overload.deferred.fanout")
+                    if observer is not None:
+                        observer.shed(parent_at, "tree_push", child)
                     deferred.add(child)
                     continue
-                leg_span: Optional["Span"] = None
-                if tel is not None:
-                    leg_span = tel.begin_span(
-                        "tree_push", parent_at,
-                        parent=parent, holder=child, bytes=size,
-                    )
                 push = fabric.send_document(
                     parent,
                     child,
@@ -150,12 +95,11 @@ class CUPTreeStrategy(PolicyStrategy):
                     TrafficCategory.UPDATE_FANOUT,
                     reliable=True,
                 )
-                if tel is not None and leg_span is not None:
-                    tel.end_span(
-                        leg_span,
-                        parent_at + push.latency,
-                        ok=push.ok,
-                        attempts=push.attempts,
+                if observer is not None:
+                    # Every tree push is a fan-out leg, as in the star.
+                    observer.leg(
+                        "tree_push", parent_at, push, push.attempts,
+                        {"parent": parent, "holder": child, "bytes": size},
                     )
                 if not push.ok:
                     continue  # counted below with the rest of its subtree
@@ -167,7 +111,7 @@ class CUPTreeStrategy(PolicyStrategy):
         refreshed = 0
         for holder in holders:
             if holder in arrival:
-                caches[holder].apply_update(
+                cloud.caches[holder].apply_update(
                     doc_id, version, now, size_bytes=size
                 )
                 refreshed += 1

@@ -54,7 +54,7 @@ class PolicyStrategy(CacheStrategy):
             retrieval.beacon_id,
         )
         stored = self.policy.should_store(ctx)
-        return apply_store_decision(node, retrieval, stored)
+        return apply_store_decision(node, retrieval, stored, ctx)
 
 
 class BeaconPointStrategy(PolicyStrategy):

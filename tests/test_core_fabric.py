@@ -153,9 +153,9 @@ class TestFastPath:
         assert not fabric._fast_path
         fabric.stop_dispatch_capture()
         assert fabric._fast_path
-        fabric.telemetry = Telemetry()
+        fabric.subscribe("telemetry", Telemetry())
         assert not fabric._fast_path
-        fabric.telemetry = None
+        fabric.unsubscribe("telemetry")
         assert fabric._fast_path
 
     def test_zero_latency_delivery_is_interned(self):

@@ -287,7 +287,7 @@ class TestFabricServiceIntegration:
         fabric = _service_fabric(
             OverloadConfig(queue_capacity=1, service_ms=30_000.0)
         )
-        fabric.telemetry = Telemetry()
+        fabric.subscribe("telemetry", Telemetry())
         fabric.send_control(0, 1)  # delayed by its own service time
         fabric.send_control(0, 1)  # queue full: rejected
         telemetry = fabric.telemetry
