@@ -9,11 +9,13 @@ entries whose IrH values moved.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Set, Tuple
+from typing import AbstractSet, Dict, Iterable, Iterator, List, Set, Tuple
 
 #: Serialized size of one directory entry during migration (doc key + holder
 #: list). Used for DIRECTORY_MIGRATION traffic accounting.
 DIRECTORY_ENTRY_BYTES = 96
+
+_NO_HOLDERS: AbstractSet[int] = frozenset()
 
 
 class LookupDirectory:
@@ -79,6 +81,15 @@ class LookupDirectory:
     def holders(self, doc_id: int) -> Set[int]:
         """Current holder set (a copy; empty when unknown)."""
         return set(self._holders.get(doc_id, ()))
+
+    def holders_view(self, doc_id: int) -> AbstractSet[int]:
+        """Current holder set without a copy (read-only; empty when unknown).
+
+        The live internal set: callers must not mutate it, nor add or remove
+        holders of ``doc_id`` while iterating it. The lookup and placement
+        walks run once per miss and use this instead of :meth:`holders`.
+        """
+        return self._holders.get(doc_id, _NO_HOLDERS)
 
     def knows(self, doc_id: int) -> bool:
         """Whether the directory has any entry for ``doc_id``."""

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 from repro.core.fabric import Delivery
 from repro.core.protocol import (
@@ -473,28 +473,36 @@ class CacheNode:
         """Everything the placement policy needs for one store decision."""
         cloud = self._cloud
         cache = self.cache
+        cache_id = cache.cache_id
         caches = cloud.caches
-        holders = cloud.beacons[beacon_id].directory.holders(doc_id)
-        holders.discard(cache.cache_id)
-        # Directory entries can outlive their caches (churn kills a holder
-        # before its entries are repaired); the policy must only see live
-        # replicas, in ``existing_holders`` and ``residences`` alike —
-        # phantom holders would deflate the DAI component.
-        live = [h for h in holders if caches[h].alive]
-        residences = [
-            caches[h].storage.expected_residence(now) for h in live
-        ]
-        finite = [r for r in residences if r is not None]
+        # One pass over the directory's own holder set (no copy). Directory
+        # entries can outlive their caches (churn kills a holder before its
+        # entries are repaired); the policy must only see live replicas, in
+        # ``existing_holders`` and the residence minimum alike — phantom
+        # holders would deflate the DAI component.
+        live: List[int] = []
         # An existing holder with no contention keeps its copy indefinitely;
-        # only when every holder is under contention is the minimum finite.
-        min_residence: Optional[float]
-        if finite and len(finite) == len(residences):
-            min_residence = min(finite)
-        else:
-            min_residence = None
+        # only when every holder is under contention is the minimum finite,
+        # so the residence queries stop at the first uncontended holder.
+        contended = True
+        min_residence: Optional[float] = None
+        for h in cloud.beacons[beacon_id].directory.holders_view(doc_id):
+            if h == cache_id:
+                continue
+            holder_cache = caches[h]
+            if not holder_cache.alive:
+                continue
+            live.append(h)
+            if contended:
+                residence = holder_cache.storage.expected_residence(now)
+                if residence is None:
+                    contended = False
+                    min_residence = None
+                elif min_residence is None or residence < min_residence:
+                    min_residence = residence
         update_tracker = cloud._update_rates.get(doc_id)
         return PlacementContext(
-            cache_id=cache.cache_id,
+            cache_id=cache_id,
             doc_id=doc_id,
             size_bytes=size,
             now=now,

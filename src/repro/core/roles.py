@@ -67,15 +67,19 @@ class BeaconRole:
         """
         cloud = self._cloud
         caches = cloud.caches
-        candidates = self.state.directory.holders(doc_id)
-        candidates.discard(requester)
+        directory = self.state.directory
+        holders = directory.holders_view(doc_id)
         if cloud.observer is not None:
-            # The walk below visits every candidate exactly once: this is
-            # the O(holders) verification cost, reported before the loop so
-            # the length is independent of how many entries it repairs.
-            cloud.observer.walk(doc_id, len(candidates))
+            # The walk below visits every holder but the requester exactly
+            # once: this is the O(holders) verification cost, reported before
+            # the loop so the length is independent of how many entries it
+            # repairs.
+            cloud.observer.walk(doc_id, len(holders) - (requester in holders))
         live: List[int] = []
-        for holder in sorted(candidates):
+        stale: List[int] = []
+        for holder in holders:
+            if holder == requester:
+                continue
             holder_cache = caches[holder]
             # Freshness check inlined from ``EdgeCache.holds_fresh``: the
             # verification loop runs for every holder of every lookup.
@@ -84,13 +88,16 @@ class BeaconRole:
                 live.append(holder)
             else:
                 # Directory entry out of date (failure or stale replica).
-                self.state.directory.remove_holder(doc_id, holder)
-                cloud.directory_repairs += 1
+                stale.append(holder)
+        if stale:
+            # Repaired after the walk: ``holders`` is the directory's own set.
+            for holder in stale:
+                directory.remove_holder(doc_id, holder)
+            cloud.directory_repairs += len(stale)
         if not live:
             return None
-        topology = cloud.transport.topology
-        if topology is None:
-            return live[0]
+        if cloud.transport.topology is None:
+            return min(live)
         return min(
             live,
             key=lambda h: (cloud.transport.latency_minutes(h, requester), h),

@@ -80,6 +80,15 @@ class UtilityComponents:
     cmc: float
 
     def __post_init__(self) -> None:
+        # Fast path, one evaluation per placement decision: NaN fails every
+        # comparison, so it falls through to the loop and raises there.
+        if (
+            0.0 <= self.afc <= 1.0
+            and 0.0 <= self.dai <= 1.0
+            and 0.0 <= self.dscc <= 1.0
+            and 0.0 <= self.cmc <= 1.0
+        ):
+            return
         for name in ("afc", "dai", "dscc", "cmc"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:

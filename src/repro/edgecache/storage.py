@@ -54,6 +54,12 @@ class CacheStorage:
         self._used = 0
         self.evictions = 0
         self._residence_samples: Deque[float] = deque(maxlen=RESIDENCE_SAMPLE_WINDOW)
+        #: Mean of ``_residence_samples``, computed on first read after an
+        #: eviction. Every miss past disk fill asks each holder for it, while
+        #: the samples only change on eviction; recomputing it with the same
+        #: ``sum / len`` keeps the value bit-identical (a running float sum
+        #: would not be). ``None`` = not computed since the last eviction.
+        self._residence_mean: Optional[float] = None
 
     # ------------------------------------------------------------------
     # Introspection
@@ -145,6 +151,7 @@ class CacheStorage:
         if count_as_eviction:
             self.evictions += 1
             self._residence_samples.append(doc.residence_time(now))
+            self._residence_mean = None
 
     # ------------------------------------------------------------------
     # Residence-time estimation (DsCC input)
@@ -156,12 +163,18 @@ class CacheStorage:
         unlimited, or no eviction has happened yet (no contention observed).
         With contention, the estimate is the mean residence time of recently
         evicted documents, the natural empirical proxy for "how long a new
-        copy can be expected to reside before it is replaced".
+        copy can be expected to reside before it is replaced". The mean is
+        computed once per eviction and reused until the next one.
         """
-        samples = self._residence_samples
-        if self.capacity_bytes is None or not samples:
+        if self.capacity_bytes is None:
             return None
-        return sum(samples) / len(samples)
+        mean = self._residence_mean
+        if mean is None:
+            samples = self._residence_samples
+            if not samples:
+                return None
+            mean = self._residence_mean = sum(samples) / len(samples)
+        return mean
 
     def min_resident_residence(self, now: float, doc_ids) -> Optional[float]:
         """Smallest current residence time among ``doc_ids`` resident here."""

@@ -31,6 +31,17 @@ class TestComponents:
         with pytest.raises(ValueError):
             UtilityComponents(afc=1.5, dai=0.0, dscc=0.0, cmc=0.0)
 
+    @pytest.mark.parametrize("name", ["afc", "dai", "dscc", "cmc"])
+    @pytest.mark.parametrize("value", [-0.1, 1.5, float("nan")])
+    def test_each_component_validated(self, name, value):
+        fields = dict(afc=0.5, dai=0.5, dscc=0.5, cmc=0.5)
+        fields[name] = value
+        with pytest.raises(ValueError, match=f"component {name}="):
+            UtilityComponents(**fields)
+
+    def test_range_bounds_accepted(self):
+        UtilityComponents(afc=0.0, dai=1.0, dscc=0.0, cmc=1.0)
+
     def test_afc_average_doc_is_half(self):
         computer = UtilityComputer(UtilityWeights())
         ctx = make_context(local_access_rate=2.0, cache_mean_rate=2.0)

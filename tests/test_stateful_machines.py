@@ -4,10 +4,12 @@ Rule-based state machines drive :class:`CacheStorage` and
 :class:`BeaconRing` through arbitrary interleavings of their operations,
 checking invariants a shadow model maintains in parallel. These catch
 bookkeeping desyncs (byte accounting, policy/tracked-set drift, arc
-partition corruption) that example-based tests rarely reach.
+partition corruption, a stale memoized residence mean) that example-based
+tests rarely reach.
 """
 
 import random
+from collections import deque
 
 from hypothesis import settings
 from hypothesis import strategies as st
@@ -21,7 +23,7 @@ from hypothesis.stateful import (
 
 from repro.core.ring import BeaconRing
 from repro.edgecache.replacement import make_policy
-from repro.edgecache.storage import CacheStorage
+from repro.edgecache.storage import RESIDENCE_SAMPLE_WINDOW, CacheStorage
 
 DOC_IDS = st.integers(min_value=0, max_value=19)
 SIZES = st.integers(min_value=10, max_value=400)
@@ -44,14 +46,15 @@ class StorageMachine(RuleBasedStateMachine):
             capacity_bytes=capacity, policy=make_policy(policy_name)
         )
         self.model = {}  # doc_id -> size
+        self.stored_at = {}  # doc_id -> admission time
+        # Residence times of the most recent evictions, oldest first.
+        self.residences = deque(maxlen=RESIDENCE_SAMPLE_WINDOW)
 
     def _tick(self):
         self.now += 1.0
         return self.now
 
-    @rule(doc_id=DOC_IDS, size=SIZES, version=st.integers(0, 5))
-    def admit(self, doc_id, size, version):
-        now = self._tick()
+    def _admit(self, doc_id, size, version, now):
         if doc_id in self.model:
             # Re-admission refreshes in place at the existing entry.
             self.storage.admit(doc_id, self.model[doc_id], version, now)
@@ -63,7 +66,29 @@ class StorageMachine(RuleBasedStateMachine):
         for victim in evicted:
             assert victim in self.model
             del self.model[victim]
+            self.residences.append(max(0.0, now - self.stored_at.pop(victim)))
         self.model[doc_id] = size
+        self.stored_at[doc_id] = now
+
+    @rule(doc_id=DOC_IDS, size=SIZES, version=st.integers(0, 5))
+    def admit(self, doc_id, size, version):
+        self._admit(doc_id, size, version, self._tick())
+
+    @rule(seed=st.integers(0, 10_000))
+    def admit_burst(self, seed):
+        # Many admissions in one step, so runs roll the residence window
+        # past RESIDENCE_SAMPLE_WINDOW evictions.
+        rng = random.Random(seed)
+        for _ in range(12):
+            self._admit(
+                rng.randrange(20), rng.randint(10, 400), 0, self._tick()
+            )
+
+    @rule(dt=st.floats(min_value=0.01, max_value=10.0))
+    def advance(self, dt):
+        # Fractional clocks make residence sums inexact in floating point,
+        # so a mean kept as a running sum would drift from the re-sum.
+        self.now += dt
 
     @rule(doc_id=DOC_IDS)
     def access(self, doc_id):
@@ -86,6 +111,20 @@ class StorageMachine(RuleBasedStateMachine):
             return
         self.storage.remove(doc_id, now)
         del self.model[doc_id]
+        del self.stored_at[doc_id]
+
+    @rule(doc_id=DOC_IDS)
+    @precondition(lambda self: self.model)
+    def remove_keeps_residence(self, doc_id):
+        # An explicit drop is not an eviction: the estimate must not move.
+        now = self._tick()
+        if doc_id not in self.model:
+            return
+        before = self.storage.expected_residence(now)
+        self.storage.remove(doc_id, now)
+        del self.model[doc_id]
+        del self.stored_at[doc_id]
+        assert self.storage.expected_residence(now) == before
 
     @rule(doc_id=DOC_IDS, version=st.integers(1, 9))
     def refresh(self, doc_id, version):
@@ -109,6 +148,16 @@ class StorageMachine(RuleBasedStateMachine):
     def never_over_capacity(self):
         if self.capacity is not None:
             assert self.storage.used_bytes <= self.capacity
+
+    @invariant()
+    def expected_residence_is_exact_window_mean(self):
+        samples = self.residences
+        if self.capacity is None or not samples:
+            expected = None
+        else:
+            expected = sum(samples) / len(samples)
+        # Exact equality: the estimate must be bit-identical to a re-sum.
+        assert self.storage.expected_residence(self.now) == expected
 
 
 class RingMachine(RuleBasedStateMachine):
